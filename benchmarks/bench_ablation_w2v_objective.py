@@ -12,7 +12,6 @@ import numpy as np
 
 from repro.bench import ExperimentRecorder, render_table
 from repro.embedding import (
-    BatchedHsTrainer,
     BatchedSgnsTrainer,
     HuffmanTree,
     SgnsConfig,
@@ -43,9 +42,9 @@ def test_ablation_w2v_objective(benchmark, email_edges):
     def train_hs():
         # HS needs a tighter per-row cap: the root inner rows appear in
         # every pair of a batch and overheat under the SGNS defaults.
-        trainer = BatchedHsTrainer(
+        trainer = BatchedSgnsTrainer(
             SgnsConfig(dim=8, epochs=8, learning_rate=0.05, update_cap=32),
-            batch_sentences=64,
+            batch_sentences=64, objective="hierarchical-softmax",
         )
         model = trainer.train(corpus, graph.num_nodes, seed=2)
         return NodeEmbeddings(model.w_in), trainer.last_stats

@@ -19,7 +19,7 @@ Package map:
 
 - :mod:`repro.graph` — temporal edge lists, CSR graphs, generators, I/O;
 - :mod:`repro.walk` — Algorithm 1, the temporal random walk engine;
-- :mod:`repro.embedding` — word2vec SGNS (sequential + batched);
+- :mod:`repro.embedding` — word2vec SGNS, one batched training loop;
 - :mod:`repro.nn` — the FNN substrate (layers, losses, SGD, metrics);
 - :mod:`repro.tasks` — data preparation, the downstream tasks, and the
   end-to-end :class:`Pipeline`;

@@ -75,7 +75,7 @@ _WALK_COUNTERS = (
     "exp_evaluations", "cdf_search_iterations",
 )
 _TRAINER_COUNTERS = (
-    "pairs_trained", "sentences", "updates", "fp_ops",
+    "pairs_trained", "sentences", "updates", "fp_ops", "negatives_drawn",
     "mean_loss", "wall_seconds",
 )
 
@@ -544,6 +544,8 @@ class CheckpointStore:
                 sentences=int(counters["sentences"]),
                 updates=int(counters["updates"]),
                 fp_ops=int(counters["fp_ops"]),
+                # Absent from artifacts written before the field existed.
+                negatives_drawn=int(counters.get("negatives_drawn", 0)),
                 mean_loss=float(counters["mean_loss"]),
                 wall_seconds=float(counters["wall_seconds"]),
                 losses=[float(v) for v in arrays["losses"]],

@@ -88,7 +88,8 @@ def _add_pipeline_arguments(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--w2v-epochs", type=int, default=5,
                        help="word2vec epochs")
     group.add_argument("--batch-sentences", type=int, default=1024,
-                       help="word2vec batch size (0 = sequential trainer)")
+                       help="word2vec batch size in sentences "
+                            "(1 = sentence-at-a-time)")
     group.add_argument("--epochs", type=int, default=30,
                        help="classifier training epochs")
     group.add_argument("--lr", type=float, default=0.05,
@@ -163,7 +164,7 @@ def _pipeline_from_args(args: argparse.Namespace) -> Pipeline:
             num_windows=args.walk_windows,
         ),
         sgns=SgnsConfig(dim=args.dim, epochs=args.w2v_epochs),
-        batch_sentences=args.batch_sentences or None,
+        batch_sentences=args.batch_sentences,
         sampler=args.sampler,
         treat_undirected=not args.directed,
         workers=args.workers,
@@ -324,8 +325,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
         walk_stats = engine.last_stats
         sgns = SgnsConfig(dim=args.dim, epochs=1)
         trainer = BatchedSgnsTrainer(sgns,
-                                     batch_sentences=args.batch_sentences
-                                     or 1024)
+                                     batch_sentences=args.batch_sentences)
         with get_recorder().span("word2vec", workers=1):
             trainer.train(corpus, graph.num_nodes, seed=args.seed + 1)
         w2v_stats = trainer.last_stats
@@ -347,7 +347,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
     kernels = [
         walk_kernel(walk_stats, graph),
         word2vec_kernel(w2v_stats, sgns, graph.num_nodes,
-                        args.batch_sentences or 1024),
+                        args.batch_sentences),
         classifier_kernel("train", dims, 128, 10 * graph.num_edges, True),
         classifier_kernel("test", dims, 1024, graph.num_edges, False),
     ]

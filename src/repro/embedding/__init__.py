@@ -6,27 +6,23 @@ GPU implementation whose headline result is a 124.2x speedup from
 processing 16k sentences per batch with stale intra-batch reads (Fig. 5)
 plus further microarchitectural optimizations (Fig. 6).
 
-The numpy analogues:
-
-- :class:`SequentialSgnsTrainer` — sentence-at-a-time, pair-at-a-time
-  updates (the open-source CPU implementation's structure; also the
-  "no batching" GPU baseline whose per-sentence overhead mirrors
-  kernel-launch overhead).
-- :class:`BatchedSgnsTrainer` — gathers pairs from a batch of sentences
-  and applies one vectorized update per batch, reading stale embeddings
-  within the batch exactly as §V-B describes.
+The numpy analogue is one training loop, :class:`BatchedSgnsTrainer`:
+it gathers pairs from a batch of sentences and applies one vectorized
+update per batch, reading stale embeddings within the batch exactly as
+§V-B describes.  ``batch_sentences=1`` is the sentence-at-a-time
+baseline (the open-source CPU implementation's structure; also the
+"no batching" GPU baseline whose per-sentence overhead mirrors
+kernel-launch overhead).  The model owns the per-batch step:
+:class:`SkipGramModel` for negative sampling,
+:class:`HierarchicalSoftmaxModel` for ``objective="hierarchical-softmax"``.
 """
 
 from repro.embedding.vocab import Vocabulary
 from repro.embedding.negative import AliasTable, NegativeSampler
 from repro.embedding.skipgram import SkipGramModel, generate_pairs
-from repro.embedding.trainer import SgnsConfig, SequentialSgnsTrainer, TrainerStats
+from repro.embedding.trainer import SgnsConfig, TrainerStats
 from repro.embedding.batched import BatchedSgnsTrainer
-from repro.embedding.hsoftmax import (
-    BatchedHsTrainer,
-    HierarchicalSoftmaxModel,
-    HuffmanTree,
-)
+from repro.embedding.hsoftmax import HierarchicalSoftmaxModel, HuffmanTree
 from repro.embedding.embeddings import NodeEmbeddings, train_embeddings
 
 __all__ = [
@@ -36,9 +32,7 @@ __all__ = [
     "SkipGramModel",
     "generate_pairs",
     "SgnsConfig",
-    "SequentialSgnsTrainer",
     "BatchedSgnsTrainer",
-    "BatchedHsTrainer",
     "HierarchicalSoftmaxModel",
     "HuffmanTree",
     "TrainerStats",

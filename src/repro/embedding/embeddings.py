@@ -16,7 +16,7 @@ import numpy as np
 from repro.errors import EmbeddingError
 from repro.rng import SeedLike
 from repro.embedding.batched import BatchedSgnsTrainer
-from repro.embedding.trainer import SgnsConfig, SequentialSgnsTrainer, TrainerStats
+from repro.embedding.trainer import SgnsConfig, TrainerStats
 from repro.walk.corpus import WalkCorpus
 
 
@@ -97,7 +97,7 @@ def train_embeddings(
     corpus: WalkCorpus,
     num_nodes: int,
     config: SgnsConfig | None = None,
-    batch_sentences: int | None = 1024,
+    batch_sentences: int = 1024,
     seed: SeedLike = None,
     objective: str = "negative-sampling",
     workers: int = 1,
@@ -106,58 +106,28 @@ def train_embeddings(
 ) -> tuple[NodeEmbeddings, TrainerStats]:
     """Train node embeddings from a walk corpus (pipeline phase RW-P2).
 
-    ``batch_sentences=None`` selects the sentence-sequential trainer;
-    any integer selects the batched trainer with that batch size (the
-    default 1024 is well inside Fig. 5's no-accuracy-loss regime).
-    ``objective`` is ``negative-sampling`` (the paper's) or
-    ``hierarchical-softmax`` (word2vec's alternative output layer;
-    batched only).  ``workers > 1`` trains data-parallel across that
-    many processes with per-epoch parameter averaging
-    (:class:`repro.parallel.ParallelSgnsTrainer`; negative sampling
-    only); ``workers=1`` is the serial path.  ``supervisor`` and
-    ``fault_plan`` configure worker supervision and fault injection for
-    the parallel path (see :mod:`repro.parallel.supervisor` and
-    :mod:`repro.faults`).  Returns the embeddings and the trainer's
-    work statistics.
+    ``batch_sentences`` is the sentences per stale-snapshot update (the
+    default 1024 is well inside Fig. 5's no-accuracy-loss regime; 1 is
+    sentence-at-a-time).  ``objective`` is ``negative-sampling`` (the
+    paper's) or ``hierarchical-softmax`` (word2vec's alternative output
+    layer).  ``workers > 1`` trains data-parallel across that many
+    processes with per-epoch parameter averaging
+    (:class:`repro.parallel.ParallelSgnsTrainer`); ``workers=1`` is the
+    serial path.  ``supervisor`` and ``fault_plan`` configure worker
+    supervision and fault injection for the parallel path (see
+    :mod:`repro.parallel.supervisor` and :mod:`repro.faults`).  Returns
+    the embeddings and the trainer's work statistics.
     """
     config = config or SgnsConfig()
-    if workers < 1:
-        raise EmbeddingError(f"workers must be >= 1, got {workers}")
-    if workers > 1:
-        if objective != "negative-sampling":
-            raise EmbeddingError(
-                "parallel training supports the negative-sampling "
-                f"objective only, got {objective!r}"
-            )
+    if workers == 1:
+        trainer = BatchedSgnsTrainer(config, batch_sentences, objective)
+    else:
         from repro.parallel.sgns import ParallelSgnsTrainer
 
-        par_trainer = ParallelSgnsTrainer(
+        trainer = ParallelSgnsTrainer(
             config, workers=workers, batch_sentences=batch_sentences,
-            supervisor=supervisor, fault_plan=fault_plan,
+            supervisor=supervisor, fault_plan=fault_plan, objective=objective,
         )
-        par_model = par_trainer.train(corpus, num_nodes, seed=seed)
-        assert par_trainer.last_stats is not None
-        return NodeEmbeddings(par_model.w_in), par_trainer.last_stats
-    if objective == "hierarchical-softmax":
-        from repro.embedding.hsoftmax import BatchedHsTrainer
-
-        hs_trainer = BatchedHsTrainer(
-            config, batch_sentences=batch_sentences or 1024
-        )
-        hs_model = hs_trainer.train(corpus, num_nodes, seed=seed)
-        assert hs_trainer.last_stats is not None
-        return NodeEmbeddings(hs_model.w_in), hs_trainer.last_stats
-    if objective != "negative-sampling":
-        raise EmbeddingError(
-            f"unknown objective {objective!r}; options: "
-            "'negative-sampling', 'hierarchical-softmax'"
-        )
-    if batch_sentences is None:
-        trainer: SequentialSgnsTrainer | BatchedSgnsTrainer = (
-            SequentialSgnsTrainer(config)
-        )
-    else:
-        trainer = BatchedSgnsTrainer(config, batch_sentences=batch_sentences)
     model = trainer.train(corpus, num_nodes, seed=seed)
     assert trainer.last_stats is not None
     return NodeEmbeddings(model.w_in), trainer.last_stats

@@ -24,7 +24,9 @@ import numpy as np
 
 from repro.errors import EmbeddingError
 from repro.rng import SeedLike, make_rng
-from repro.embedding.skipgram import sigmoid
+from repro.embedding.negative import NegativeSampler
+from repro.embedding.skipgram import SkipGramModel, sigmoid
+from repro.embedding.trainer import SgnsConfig
 
 
 class HuffmanTree:
@@ -114,6 +116,9 @@ class HuffmanTree:
 class HierarchicalSoftmaxModel:
     """Skip-gram with a hierarchical-softmax output layer."""
 
+    #: The trained matrices (what data-parallel training averages).
+    PARAMETERS = ("w_in", "w_inner")
+
     def __init__(self, counts: np.ndarray, dim: int,
                  seed: SeedLike = None) -> None:
         if dim < 1:
@@ -168,6 +173,32 @@ class HierarchicalSoftmaxModel:
             loss = -(np.log(np.maximum(probs, 1e-12)) * mask).sum(axis=1)
         return grad_center, grad_inner, paths, mask, float(loss.mean())
 
+    def train_batch(
+        self,
+        centers: np.ndarray,
+        contexts: np.ndarray,
+        lr: float,
+        config: SgnsConfig,
+        rng: np.random.Generator,
+        sampler: NegativeSampler | None = None,
+    ) -> tuple[float, int]:
+        """One stale-snapshot step over a batch of pairs.
+
+        The same contract as :meth:`SkipGramModel.train_batch`; the tree
+        path replaces sampled negatives, so ``rng`` and ``sampler`` go
+        unused and no negatives are drawn.
+        """
+        gc, gi, paths, mask, loss = self.batch_gradients(centers, contexts)
+        self.apply_batch(
+            centers, gc, gi, paths, mask, lr,
+            update=config.update_mode, cap=config.update_cap,
+        )
+        return loss, 0
+
+    def pair_fp_ops(self, config: SgnsConfig) -> int:
+        """Multiply-adds per pair: one ``4d`` row per (padded) path node."""
+        return self.tree.max_code_length * 4 * config.dim
+
     def apply_batch(
         self,
         centers: np.ndarray,
@@ -180,8 +211,6 @@ class HierarchicalSoftmaxModel:
         cap: int = 128,
     ) -> None:
         """Scatter updates with the same combining modes as SGNS."""
-        from repro.embedding.skipgram import SkipGramModel
-
         SkipGramModel._scatter(self.w_in, centers, grad_center, lr,
                                update, cap)
         flat_rows = paths.reshape(-1)
@@ -211,84 +240,3 @@ class HierarchicalSoftmaxModel:
             p = 1.0 / (1.0 + np.exp(-score))
             prob *= p if tree.codes[context, i] == 0 else (1.0 - p)
         return prob
-
-
-class BatchedHsTrainer:
-    """Batched skip-gram training with the hierarchical-softmax objective.
-
-    Mirrors :class:`repro.embedding.BatchedSgnsTrainer`'s batching and
-    stale-update semantics so the two objectives are directly comparable
-    in the word2vec-objective ablation.
-    """
-
-    def __init__(self, config, batch_sentences: int = 1024) -> None:
-        if batch_sentences < 1:
-            raise EmbeddingError(
-                f"batch_sentences must be >= 1, got {batch_sentences}"
-            )
-        self.config = config
-        self.batch_sentences = batch_sentences
-        self.last_stats = None
-
-    def train(self, corpus, num_nodes: int, seed: SeedLike = None
-              ) -> HierarchicalSoftmaxModel:
-        """Train over the corpus; returns the fitted model."""
-        import time
-
-        from repro.embedding.skipgram import generate_pairs
-        from repro.embedding.trainer import TrainerStats
-        from repro.embedding.vocab import Vocabulary
-
-        cfg = self.config
-        rng = make_rng(seed)
-        vocab = Vocabulary.from_corpus(corpus, num_nodes)
-        model = HierarchicalSoftmaxModel(vocab.counts, cfg.dim, seed=rng)
-
-        stats = TrainerStats()
-        start = time.perf_counter()
-        sentences = [s for s in corpus.sentences(min_length=2)]
-        total_batches = cfg.epochs * max(
-            1, -(-len(sentences) // self.batch_sentences)
-        )
-        batch_index = 0
-        loss_accum = 0.0
-        for _epoch in range(cfg.epochs):
-            for base in range(0, len(sentences), self.batch_sentences):
-                batch = sentences[base: base + self.batch_sentences]
-                centers_parts, contexts_parts = [], []
-                for sentence in batch:
-                    c, o = generate_pairs(
-                        sentence, cfg.window, rng, cfg.dynamic_window
-                    )
-                    if len(c):
-                        centers_parts.append(c)
-                        contexts_parts.append(o)
-                frac = min(1.0, batch_index / total_batches)
-                lr = max(cfg.min_learning_rate,
-                         cfg.learning_rate * (1.0 - frac))
-                batch_index += 1
-                stats.sentences += len(batch)
-                if not centers_parts:
-                    continue
-                centers = np.concatenate(centers_parts)
-                contexts = np.concatenate(contexts_parts)
-                gc, gi, paths, mask, loss = model.batch_gradients(
-                    centers, contexts
-                )
-                model.apply_batch(
-                    centers, gc, gi, paths, mask, lr,
-                    update=cfg.update_mode, cap=cfg.update_cap,
-                )
-                stats.pairs_trained += len(centers)
-                stats.updates += 1
-                stats.fp_ops += int(
-                    len(centers) * model.tree.max_code_length * 4 * cfg.dim
-                )
-                # Pair-weighted, like the SGNS trainers: mean_loss is
-                # per-pair regardless of batch size.
-                loss_accum += loss * len(centers)
-                stats.losses.append(loss)
-        stats.wall_seconds = time.perf_counter() - start
-        stats.mean_loss = loss_accum / max(1, stats.pairs_trained)
-        self.last_stats = stats
-        return model

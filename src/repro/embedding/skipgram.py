@@ -6,9 +6,12 @@ The SGNS objective for a (center, context) pair with negatives
     L = -log sigma(v_c . u_o) - sum_k log sigma(-v_c . u_{n_k})
 
 where ``v`` rows live in the input matrix (the embeddings the pipeline
-keeps) and ``u`` rows in the output matrix.  Both trainers share this
-module's math so the sequential and batched paths are provably the same
-model; they differ only in *when* parameter updates become visible.
+keeps) and ``u`` rows in the output matrix.
+:meth:`SkipGramModel.train_batch` is the model's whole share of a
+training step; sentence batching, the learning-rate schedule and the
+bookkeeping live in the one training loop,
+:class:`repro.embedding.BatchedSgnsTrainer`, whose batch size decides
+only *when* parameter updates become visible.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ import numpy as np
 
 from repro.errors import EmbeddingError
 from repro.rng import SeedLike, make_rng
+from repro.embedding.negative import NegativeSampler
+from repro.embedding.trainer import UPDATE_MODES, SgnsConfig
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -73,6 +78,9 @@ def generate_pairs(
 
 class SkipGramModel:
     """SGNS parameter matrices with batched loss/gradient evaluation."""
+
+    #: The trained matrices (what data-parallel training averages).
+    PARAMETERS = ("w_in", "w_out")
 
     def __init__(self, num_nodes: int, dim: int, seed: SeedLike = None) -> None:
         if num_nodes < 1:
@@ -156,6 +164,42 @@ class SkipGramModel:
             )
         return grad_center, grad_context, grad_negatives, float(loss.mean())
 
+    def train_batch(
+        self,
+        centers: np.ndarray,
+        contexts: np.ndarray,
+        lr: float,
+        config: SgnsConfig,
+        rng: np.random.Generator,
+        sampler: NegativeSampler,
+    ) -> tuple[float, int]:
+        """One stale-snapshot step over a batch of pairs.
+
+        Draws the negatives — one set of K shared by the whole batch
+        under ``config.shared_negatives``, else K per pair — evaluates
+        every pair against the current weights and applies one scatter.
+        Returns ``(mean pair loss, negatives drawn)``.
+        """
+        k = config.negatives
+        if config.shared_negatives:
+            negatives = np.broadcast_to(
+                sampler.sample(k, rng), (len(centers), k)
+            ).copy()
+            drawn = k
+        else:
+            negatives = sampler.sample_matrix(len(centers), k, rng)
+            drawn = len(centers) * k
+        gc, go, gn, loss = self.batch_gradients(centers, contexts, negatives)
+        self.apply_batch(
+            centers, contexts, negatives, gc, go, gn, lr,
+            update=config.update_mode, cap=config.update_cap,
+        )
+        return loss, drawn
+
+    def pair_fp_ops(self, config: SgnsConfig) -> int:
+        """Multiply-adds per pair: ``(1 + K)`` rows of ``4d`` each."""
+        return (1 + config.negatives) * 4 * config.dim
+
     def apply_batch(
         self,
         centers: np.ndarray,
@@ -189,11 +233,6 @@ class SkipGramModel:
           the paper's "batching costs no accuracy" result on both
           community graphs and hub-heavy interaction graphs.
         """
-        if update not in ("mean", "sum", "sqrt", "capped"):
-            raise EmbeddingError(
-                f"update must be one of 'mean', 'sum', 'sqrt', 'capped'; "
-                f"got {update!r}"
-            )
         self._scatter(self.w_in, centers, grad_center, lr, update, cap)
         flat_neg = negatives.reshape(-1)
         out_rows = np.concatenate([contexts, flat_neg])
@@ -211,6 +250,10 @@ class SkipGramModel:
         update: str,
         cap: int,
     ) -> None:
+        if update not in UPDATE_MODES:
+            raise EmbeddingError(
+                f"update must be one of {UPDATE_MODES}; got {update!r}"
+            )
         uniq, inverse = np.unique(rows, return_inverse=True)
         acc = np.zeros((len(uniq), matrix.shape[1]), dtype=np.float64)
         np.add.at(acc, inverse, grads)

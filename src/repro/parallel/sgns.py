@@ -11,27 +11,27 @@ matrices between epochs.  This is the classic parameter-averaging SGD
 layout; with SGNS's sparse touches, one-epoch staleness degrades
 accuracy about as little as the in-batch staleness the paper measures.
 
-``workers=1`` delegates to the serial trainers unchanged
-(bit-identical results); ``workers=N`` is deterministic for fixed
-``N`` — worker seeds come from ``SeedSequence.spawn`` on the root seed
-and shard results are combined in worker order.
+Each worker runs :class:`BatchedSgnsTrainer`'s own loop over its shard,
+so both objectives and every config knob behave as in a serial run.
+``workers=1`` is the serial trainer unchanged (bit-identical results);
+``workers=N`` is deterministic for fixed ``N`` — worker seeds come from
+``SeedSequence.spawn`` on the root seed and shard results are combined
+in worker order.
 """
 
 from __future__ import annotations
 
+import copy
 import time
 
 import numpy as np
 
 from repro.errors import EmbeddingError
 from repro.faults import FaultPlan
-from repro.observability import get_recorder
+from repro.observability import get_recorder, use_recorder
 from repro.rng import SeedLike, make_rng
-from repro.embedding.batched import BatchedSgnsTrainer
-from repro.embedding.negative import NegativeSampler
-from repro.embedding.skipgram import SkipGramModel, generate_pairs
+from repro.embedding.batched import BatchedSgnsTrainer, Model
 from repro.embedding.trainer import (
-    SequentialSgnsTrainer,
     SgnsConfig,
     TrainerStats,
     publish_trainer_stats,
@@ -47,91 +47,37 @@ from repro.walk.corpus import WalkCorpus
 
 
 def _train_shard(
+    trainer: BatchedSgnsTrainer,
     sentences: list[np.ndarray],
     counts: np.ndarray,
-    w_in: np.ndarray,
-    w_out: np.ndarray,
-    config: SgnsConfig,
-    batch_sentences: int,
+    model: Model,
     seed_seq: np.random.SeedSequence,
-    lr_frac0: float,
-    lr_frac1: float,
-) -> tuple[np.ndarray, np.ndarray, dict, list[float]]:
-    """Worker body: one epoch of batched SGNS over one sentence shard.
+    lr_window: tuple[float, float],
+) -> tuple[Model, TrainerStats]:
+    """Worker body: one epoch of the shared training loop over one shard.
 
     ``counts`` are the *global* corpus node frequencies, so every
     worker negative-samples from the same unigram^0.75 distribution
     and applies the same subsampling keep-probabilities as a serial
-    run would.  The learning rate decays linearly from ``lr_frac0`` to
-    ``lr_frac1`` of the global schedule across this shard's batches.
+    run would.  ``lr_window`` is this epoch's slice of the global
+    learning-rate schedule.  The model is copied, so the in-process
+    fallback leaves the caller's snapshot untouched, and the shard
+    records nothing: the parent publishes the merged run once.
     """
-    rng = np.random.default_rng(seed_seq)
-    vocab = Vocabulary(counts)
-    sampler = NegativeSampler(vocab)
-    model = SkipGramModel.__new__(SkipGramModel)
-    model.w_in = w_in.copy()
-    model.w_out = w_out.copy()
-    keep = (
-        vocab.keep_probabilities(config.subsample_threshold)
-        if config.subsample_threshold is not None
-        else None
-    )
-
-    counters = {
-        "pairs_trained": 0, "sentences": 0, "updates": 0, "fp_ops": 0,
-        "loss_pair_sum": 0.0,
-    }
-    losses: list[float] = []
-    num_batches = max(1, -(-len(sentences) // batch_sentences))
-    batch_index = 0
-    for base in range(0, len(sentences), batch_sentences):
-        batch = sentences[base: base + batch_sentences]
-        centers_parts: list[np.ndarray] = []
-        contexts_parts: list[np.ndarray] = []
-        for sentence in batch:
-            if keep is not None:
-                sentence = vocab.subsample_sentence(sentence, keep, rng)
-                if len(sentence) < 2:
-                    continue
-            c, o = generate_pairs(
-                sentence, config.window, rng, config.dynamic_window
-            )
-            if len(c):
-                centers_parts.append(c)
-                contexts_parts.append(o)
-        frac = lr_frac0 + (batch_index / num_batches) * (lr_frac1 - lr_frac0)
-        lr = max(
-            config.min_learning_rate,
-            config.learning_rate * (1.0 - min(1.0, frac)),
+    model = copy.deepcopy(model)
+    with use_recorder(None):
+        stats = trainer.fit(
+            sentences, Vocabulary(counts), model,
+            np.random.default_rng(seed_seq), epochs=1, lr_window=lr_window,
         )
-        batch_index += 1
-        counters["sentences"] += len(batch)
-        if not centers_parts:
-            continue
-        centers = np.concatenate(centers_parts)
-        contexts = np.concatenate(contexts_parts)
-        negatives = sampler.sample_matrix(len(centers), config.negatives, rng)
-        gc, go, gn, loss = model.batch_gradients(centers, contexts, negatives)
-        model.apply_batch(
-            centers, contexts, negatives, gc, go, gn, lr,
-            update=config.update_mode, cap=config.update_cap,
-        )
-        counters["pairs_trained"] += len(centers)
-        counters["updates"] += 1
-        counters["fp_ops"] += (
-            len(centers) * (1 + config.negatives) * 4 * config.dim
-        )
-        counters["loss_pair_sum"] += loss * len(centers)
-        losses.append(loss)
-    return model.w_in, model.w_out, counters, losses
+    return model, stats
 
 
 class ParallelSgnsTrainer:
-    """Sentence-sharded SGNS across processes, averaging each epoch.
+    """Sentence-sharded word2vec across processes, averaging each epoch.
 
-    Drop-in alongside :class:`SequentialSgnsTrainer` /
-    :class:`BatchedSgnsTrainer`: same ``train`` signature, same
-    :class:`TrainerStats` contract (``mean_loss`` per-pair; work
+    Wraps one :class:`BatchedSgnsTrainer` (same ``train`` signature,
+    same :class:`TrainerStats` contract: ``mean_loss`` per-pair; work
     counters summed over workers; ``losses`` holds every worker's
     per-update trace in worker order, epoch by epoch).
     """
@@ -140,15 +86,16 @@ class ParallelSgnsTrainer:
         self,
         config: SgnsConfig,
         workers: int,
-        batch_sentences: int | None = 1024,
+        batch_sentences: int = 1024,
         supervisor: SupervisorConfig | None = None,
         fault_plan: FaultPlan | None = None,
+        objective: str = "negative-sampling",
     ) -> None:
         if workers < 1:
             raise EmbeddingError(f"workers must be >= 1, got {workers}")
+        self.trainer = BatchedSgnsTrainer(config, batch_sentences, objective)
         self.config = config
         self.workers = workers
-        self.batch_sentences = batch_sentences
         self.supervisor = supervisor
         self.fault_plan = fault_plan
         self.last_stats: TrainerStats | None = None
@@ -160,31 +107,24 @@ class ParallelSgnsTrainer:
         corpus: WalkCorpus,
         num_nodes: int,
         seed: SeedLike = None,
-        model: SkipGramModel | None = None,
-    ) -> SkipGramModel:
-        """Train SGNS over the corpus; returns the (possibly new) model."""
+        model: Model | None = None,
+    ) -> Model:
+        """Train over the corpus; returns the (possibly new) model."""
         if self.workers == 1:
-            serial: SequentialSgnsTrainer | BatchedSgnsTrainer
-            if self.batch_sentences is None:
-                serial = SequentialSgnsTrainer(self.config)
-            else:
-                serial = BatchedSgnsTrainer(
-                    self.config, batch_sentences=self.batch_sentences
-                )
-            result = serial.train(corpus, num_nodes, seed=seed, model=model)
-            self.last_stats = serial.last_stats
+            result = self.trainer.train(corpus, num_nodes, seed=seed,
+                                        model=model)
+            self.last_stats = self.trainer.last_stats
             return result
 
         cfg = self.config
         rng = make_rng(seed)
         vocab = Vocabulary.from_corpus(corpus, num_nodes)
         if model is None:
-            model = SkipGramModel(num_nodes, cfg.dim, seed=rng)
-        batch = self.batch_sentences or 1
+            model = self.trainer.new_model(vocab, rng)
 
         stats = TrainerStats()
         start = time.perf_counter()
-        sentences = [s for s in corpus.sentences(min_length=2)]
+        sentences = list(corpus.sentences(min_length=2))
         # Round-robin sharding balances shard token counts even when
         # walk lengths are skewed (consecutive walks share a start
         # node, so contiguous shards would be imbalanced).
@@ -196,17 +136,13 @@ class ParallelSgnsTrainer:
 
         ctx = _mp_context()
         rec = get_recorder()
-        loss_pair_sum = 0.0
+        loss_sum = 0.0
         self.last_shard_reports = []
         for epoch in range(cfg.epochs):
-            frac0 = epoch / cfg.epochs
-            frac1 = (epoch + 1) / cfg.epochs
+            window = (epoch / cfg.epochs, (epoch + 1) / cfg.epochs)
             jobs = [
-                (
-                    shard, vocab.counts, model.w_in, model.w_out, cfg,
-                    batch, seed_seqs[epoch * len(shards) + w],
-                    frac0, frac1,
-                )
+                (self.trainer, shard, vocab.counts, model,
+                 seed_seqs[epoch * len(shards) + w], window)
                 for w, shard in enumerate(shards)
             ]
             # Supervised execution: a crashed/hung/corrupted worker is
@@ -229,20 +165,22 @@ class ParallelSgnsTrainer:
             # Parameter averaging: every worker's epoch is stale
             # with respect to the others; the mean is the sync
             # point (the §V-B stale-read trick across processes).
-            model.w_in = np.mean([r[0] for r in results], axis=0)
-            model.w_out = np.mean([r[1] for r in results], axis=0)
-            for _, _, counters, losses in results:
-                stats.pairs_trained += counters["pairs_trained"]
-                stats.sentences += counters["sentences"]
-                stats.updates += counters["updates"]
-                stats.fp_ops += counters["fp_ops"]
-                loss_pair_sum += counters["loss_pair_sum"]
-                stats.losses.extend(losses)
+            for name in model.PARAMETERS:
+                setattr(model, name, np.mean(
+                    [getattr(shard_model, name) for shard_model, _ in results],
+                    axis=0,
+                ))
+            for _, shard_stats in results:
+                stats.pairs_trained += shard_stats.pairs_trained
+                stats.sentences += shard_stats.sentences
+                stats.updates += shard_stats.updates
+                stats.fp_ops += shard_stats.fp_ops
+                stats.negatives_drawn += shard_stats.negatives_drawn
+                loss_sum += shard_stats.mean_loss * shard_stats.pairs_trained
+                stats.losses.extend(shard_stats.losses)
 
         stats.wall_seconds = time.perf_counter() - start
-        stats.mean_loss = loss_pair_sum / max(1, stats.pairs_trained)
+        stats.mean_loss = loss_sum / max(1, stats.pairs_trained)
         self.last_stats = stats
-        publish_trainer_stats(
-            stats, negatives_drawn=stats.pairs_trained * cfg.negatives
-        )
+        publish_trainer_stats(stats)
         return model

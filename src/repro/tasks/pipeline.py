@@ -9,6 +9,7 @@ the hardware models consume.
 
 from __future__ import annotations
 
+import numbers
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
@@ -51,6 +52,8 @@ class PipelineConfig:
     traverse both directions (useful on interaction networks whose
     directed out-degree is heavily skewed); the raw directed stream is
     what the paper's CSR stores, so the default is False.
+    ``batch_sentences`` is the word2vec batch size in sentences (a
+    positive int; 1 trains sentence-at-a-time).
 
     ``workers`` executes phases 1-2 across that many worker processes
     (:mod:`repro.parallel`): walk-phase start nodes are sharded over a
@@ -76,7 +79,7 @@ class PipelineConfig:
 
     walk: WalkConfig = field(default_factory=WalkConfig)
     sgns: SgnsConfig = field(default_factory=SgnsConfig)
-    batch_sentences: int | None = 1024
+    batch_sentences: int = 1024
     sampler: str = "cdf"
     treat_undirected: bool = False
     workers: int = 1
@@ -96,6 +99,13 @@ class PipelineConfig:
         if self.workers < 1:
             raise PipelineError(
                 f"workers must be >= 1, got {self.workers}"
+            )
+        if (isinstance(self.batch_sentences, bool)
+                or not isinstance(self.batch_sentences, numbers.Integral)
+                or self.batch_sentences < 1):
+            raise PipelineError(
+                "batch_sentences must be an int >= 1, got "
+                f"{self.batch_sentences!r}"
             )
         if self.sampler not in KERNEL_CHOICES:
             raise PipelineError(

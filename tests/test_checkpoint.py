@@ -197,6 +197,7 @@ def test_embeddings_roundtrip_bit_identical(tmp_path, email_corpus,
     loaded, loaded_stats = store.load_embeddings()
     np.testing.assert_array_equal(loaded.matrix, embeddings.matrix)
     assert loaded_stats.pairs_trained == stats.pairs_trained
+    assert loaded_stats.negatives_drawn == stats.negatives_drawn > 0
     assert loaded_stats.mean_loss == stats.mean_loss
     assert loaded_stats.losses == stats.losses
 

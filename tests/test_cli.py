@@ -86,6 +86,12 @@ class TestLinkpred:
         assert code == 0
         assert "accuracy" in capsys.readouterr().out
 
+    def test_zero_batch_sentences_rejected(self, capsys):
+        code = main(["linkpred", "--dataset", "ia-email", *FAST,
+                     "--batch-sentences", "0"])
+        assert code == 1
+        assert "batch_sentences" in capsys.readouterr().err
+
 
 class TestNodeclass:
     def test_on_named_shape(self, capsys):

@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.embedding import SgnsConfig, train_embeddings
-from repro.embedding.hsoftmax import (
-    BatchedHsTrainer,
-    HierarchicalSoftmaxModel,
-    HuffmanTree,
-)
+from repro.embedding import BatchedSgnsTrainer, SgnsConfig, train_embeddings
+from repro.embedding.hsoftmax import HierarchicalSoftmaxModel, HuffmanTree
 from repro.errors import EmbeddingError
 
 
@@ -144,13 +140,15 @@ class TestHierarchicalSoftmaxModel:
 
 
 class TestBatchedHsTrainer:
+    """The one trainer under ``objective="hierarchical-softmax"``."""
+
     def test_loss_decreases(self, email_corpus, email_graph):
         # Batched HS converges slower than SGNS: gradients of opposing
         # branches cancel inside a batch at the root rows, so it needs
         # smaller batches (more update rounds) and a higher lr.
-        trainer = BatchedHsTrainer(
+        trainer = BatchedSgnsTrainer(
             SgnsConfig(dim=8, epochs=5, learning_rate=0.1),
-            batch_sentences=64,
+            batch_sentences=64, objective="hierarchical-softmax",
         )
         trainer.train(email_corpus, email_graph.num_nodes, seed=1)
         losses = trainer.last_stats.losses

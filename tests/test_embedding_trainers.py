@@ -1,15 +1,10 @@
-"""Unit tests for the sequential and batched SGNS trainers."""
+"""Unit tests for the SGNS trainer at batch size 1 and at larger batches."""
 
 import numpy as np
 import pytest
 
 from repro.errors import EmbeddingError
-from repro.embedding import (
-    BatchedSgnsTrainer,
-    SequentialSgnsTrainer,
-    SgnsConfig,
-    train_embeddings,
-)
+from repro.embedding import BatchedSgnsTrainer, SgnsConfig, train_embeddings
 
 
 class TestSgnsConfig:
@@ -19,15 +14,25 @@ class TestSgnsConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("dim", 0), ("window", 0), ("negatives", 0), ("epochs", 0),
+        ("learning_rate", 0.0), ("min_learning_rate", -1),
+        ("subsample_threshold", -1), ("subsample_threshold", 0.0),
+        ("update_mode", "bogus"), ("update_cap", 0),
+        ("dynamic_window", "yes"), ("shared_negatives", 1),
     ])
     def test_invalid_values_rejected(self, field, value):
         with pytest.raises(EmbeddingError):
             SgnsConfig(**{field: value})
 
 
+def _sentence_at_a_time(config: SgnsConfig) -> BatchedSgnsTrainer:
+    return BatchedSgnsTrainer(config, batch_sentences=1)
+
+
 class TestSequentialTrainer:
+    """The trainer at ``batch_sentences=1``: one update per sentence."""
+
     def test_loss_decreases(self, email_corpus, email_graph):
-        trainer = SequentialSgnsTrainer(SgnsConfig(dim=8, epochs=2))
+        trainer = _sentence_at_a_time(SgnsConfig(dim=8, epochs=2))
         trainer.train(email_corpus, email_graph.num_nodes, seed=1)
         stats = trainer.last_stats
         first = np.mean(stats.losses[:20])
@@ -35,7 +40,7 @@ class TestSequentialTrainer:
         assert last < first
 
     def test_stats_counters(self, email_corpus, email_graph):
-        trainer = SequentialSgnsTrainer(SgnsConfig(dim=4, epochs=1))
+        trainer = _sentence_at_a_time(SgnsConfig(dim=4, epochs=1))
         trainer.train(email_corpus, email_graph.num_nodes, seed=1)
         stats = trainer.last_stats
         assert stats.pairs_trained > 0
@@ -44,18 +49,18 @@ class TestSequentialTrainer:
         assert stats.wall_seconds > 0
 
     def test_deterministic_by_seed(self, email_corpus, email_graph):
-        a = SequentialSgnsTrainer(SgnsConfig(dim=4, epochs=1)).train(
+        a = _sentence_at_a_time(SgnsConfig(dim=4, epochs=1)).train(
             email_corpus, email_graph.num_nodes, seed=2
         )
-        b = SequentialSgnsTrainer(SgnsConfig(dim=4, epochs=1)).train(
+        b = _sentence_at_a_time(SgnsConfig(dim=4, epochs=1)).train(
             email_corpus, email_graph.num_nodes, seed=2
         )
         assert np.allclose(a.w_in, b.w_in)
 
     def test_subsampling_reduces_pairs(self, email_corpus, email_graph):
-        plain = SequentialSgnsTrainer(SgnsConfig(dim=4, epochs=1))
+        plain = _sentence_at_a_time(SgnsConfig(dim=4, epochs=1))
         plain.train(email_corpus, email_graph.num_nodes, seed=3)
-        sub = SequentialSgnsTrainer(
+        sub = _sentence_at_a_time(
             SgnsConfig(dim=4, epochs=1, subsample_threshold=1e-4)
         )
         sub.train(email_corpus, email_graph.num_nodes, seed=3)
@@ -78,23 +83,10 @@ class TestBatchedTrainer:
         losses = trainer.last_stats.losses
         assert losses[-1] < losses[0]
 
-    def test_batch_size_one_matches_sequential_update_count(
-        self, email_corpus, email_graph
-    ):
-        batched = BatchedSgnsTrainer(SgnsConfig(dim=4, epochs=1),
-                                     batch_sentences=1)
-        batched.train(email_corpus, email_graph.num_nodes, seed=1)
-        sequential = SequentialSgnsTrainer(SgnsConfig(dim=4, epochs=1))
-        sequential.train(email_corpus, email_graph.num_nodes, seed=1)
-        # batch=1 sends every sentence through its own update, like the
-        # sequential trainer (empty-pair sentences may differ by rng).
-        assert batched.last_stats.updates == pytest.approx(
-            sequential.last_stats.updates, rel=0.05
-        )
-
     def test_invalid_batch_size(self):
-        with pytest.raises(ValueError):
-            BatchedSgnsTrainer(SgnsConfig(), batch_sentences=0)
+        for bad in (0, -1, None, 2.5, True):
+            with pytest.raises(EmbeddingError):
+                BatchedSgnsTrainer(SgnsConfig(), batch_sentences=bad)
 
     def test_embeddings_bounded_on_hub_graph(self, email_corpus, email_graph):
         # The stale-batch stabilization (capped mode) must keep hub rows
@@ -118,7 +110,7 @@ class TestTrainEmbeddingsFrontDoor:
     def test_sequential_path(self, email_corpus, email_graph):
         emb, stats = train_embeddings(
             email_corpus, email_graph.num_nodes,
-            SgnsConfig(dim=4, epochs=1), batch_sentences=None, seed=1,
+            SgnsConfig(dim=4, epochs=1), batch_sentences=1, seed=1,
         )
         assert emb.dim == 4
         assert stats.updates == stats.sentences

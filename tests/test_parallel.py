@@ -7,7 +7,6 @@ import pytest
 
 from repro.embedding import SgnsConfig, train_embeddings
 from repro.embedding.batched import BatchedSgnsTrainer
-from repro.embedding.trainer import SequentialSgnsTrainer
 from repro.errors import EmbeddingError, PipelineError, WalkError
 from repro.parallel import (
     ParallelSgnsTrainer,
@@ -160,11 +159,12 @@ class TestParallelSgns:
 
     def test_workers_one_sequential_path(self, email_corpus, email_graph):
         cfg = SgnsConfig(dim=4, epochs=1)
-        parallel = ParallelSgnsTrainer(cfg, workers=1, batch_sentences=None)
+        parallel = ParallelSgnsTrainer(cfg, workers=1, batch_sentences=1)
         a = parallel.train(email_corpus, email_graph.num_nodes, seed=5)
-        serial = SequentialSgnsTrainer(cfg)
+        serial = BatchedSgnsTrainer(cfg, batch_sentences=1)
         b = serial.train(email_corpus, email_graph.num_nodes, seed=5)
         assert np.array_equal(a.w_in, b.w_in)
+        assert parallel.last_stats.updates == parallel.last_stats.sentences
 
     def test_two_workers_deterministic_and_finite(
         self, email_corpus, email_graph
@@ -194,11 +194,14 @@ class TestParallelSgns:
         )
         assert emb.matrix.shape == (email_graph.num_nodes, 4)
         assert stats.updates > 0
-        with pytest.raises(EmbeddingError):
-            train_embeddings(
-                email_corpus, email_graph.num_nodes, workers=2,
-                objective="hierarchical-softmax",
-            )
+        emb, stats = train_embeddings(
+            email_corpus, email_graph.num_nodes, SgnsConfig(dim=4, epochs=1),
+            batch_sentences=64, seed=2, workers=2,
+            objective="hierarchical-softmax",
+        )
+        assert emb.matrix.shape == (email_graph.num_nodes, 4)
+        assert np.isfinite(emb.matrix).all()
+        assert stats.negatives_drawn == 0
         with pytest.raises(EmbeddingError):
             train_embeddings(email_corpus, email_graph.num_nodes, workers=0)
 

@@ -221,17 +221,18 @@ class TestSgnsScheduleRegressions:
         subsampling while ``total_sentences`` counted all of them, so
         under aggressive subsampling the linear decay stalled near the
         keep rate and the effective LR stayed biased high.  Fix: every
-        visited sentence advances the schedule."""
-        from repro.embedding.trainer import SequentialSgnsTrainer, SgnsConfig
+        visited sentence advances the schedule (checked sentence-at-a-
+        time, where each batch is one sentence)."""
+        from repro.embedding import BatchedSgnsTrainer, SgnsConfig
         from repro.graph import generators
         from repro.graph.csr import TemporalGraph
 
         recorded = []
 
-        class Probe(SequentialSgnsTrainer):
-            def _lr(self, seen, total):
+        class Probe(BatchedSgnsTrainer):
+            def _lr(self, seen, total, window=(0.0, 1.0)):
                 recorded.append((seen, total))
-                return super()._lr(seen, total)
+                return super()._lr(seen, total, window)
 
         edges = generators.ia_email_like(scale=0.003, seed=11)
         graph = TemporalGraph.from_edge_list(edges.with_reverse_edges())
@@ -239,12 +240,13 @@ class TestSgnsScheduleRegressions:
             WalkConfig(num_walks_per_node=2, max_walk_length=6), seed=3
         )
         trainer = Probe(
-            SgnsConfig(dim=4, epochs=2, subsample_threshold=1e-9)
+            SgnsConfig(dim=4, epochs=2, subsample_threshold=1e-9),
+            batch_sentences=1,
         )
         trainer.train(corpus, graph.num_nodes, seed=5)
         # Aggressive subsampling drops most sentences; the schedule must
         # still sweep 0 .. total-1 exactly once per visited sentence.
-        assert trainer.last_stats.sentences < len(recorded)
+        assert trainer.last_stats.updates < len(recorded)
         seens = [s for s, _ in recorded]
         total = recorded[0][1]
         assert seens == list(range(total))
@@ -253,16 +255,16 @@ class TestSgnsScheduleRegressions:
         """Bug: ``mean_loss`` averaged per-update batch means, so a
         2-pair sentence weighed as much as a 14-pair one and the number
         was incomparable across batch sizes.  Fix: pair-weighted mean."""
-        from repro.embedding.trainer import SequentialSgnsTrainer, SgnsConfig
+        from repro.embedding import BatchedSgnsTrainer, SgnsConfig
         from repro.walk.corpus import PAD, WalkCorpus
 
         matrix = np.array([[0, 1, 2, 3, 4],
                            [1, 2, PAD, PAD, PAD]], dtype=np.int64)
         corpus = WalkCorpus(matrix, np.array([5, 2], dtype=np.int64))
-        trainer = SequentialSgnsTrainer(SgnsConfig(
+        trainer = BatchedSgnsTrainer(SgnsConfig(
             dim=4, epochs=1, window=2, dynamic_window=False,
             subsample_threshold=None,
-        ))
+        ), batch_sentences=1)
         trainer.train(corpus, 5, seed=0)
         stats = trainer.last_stats
         # window=2, no dynamic shrink: the length-5 sentence yields 14
@@ -273,6 +275,59 @@ class TestSgnsScheduleRegressions:
         assert stats.mean_loss == pytest.approx(weighted, rel=1e-12)
         unweighted = sum(stats.losses) / 2
         assert stats.mean_loss != pytest.approx(unweighted, rel=1e-6)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("objective",
+                             ["negative-sampling", "hierarchical-softmax"])
+    def test_every_path_subsamples_and_publishes(self, objective, workers,
+                                                 email_corpus, email_graph):
+        """Bug: four copies of the training loop had drifted apart —
+        hierarchical softmax ignored ``subsample_threshold`` and
+        published no ``sgns.*`` counters, and it could not train in
+        parallel at all.  Fix: one loop serves both objectives and
+        every worker count."""
+        from repro.embedding import SgnsConfig, train_embeddings
+        from repro.observability import Recorder, use_recorder
+
+        def run(threshold):
+            rec = Recorder()
+            with use_recorder(rec):
+                _, stats = train_embeddings(
+                    email_corpus, email_graph.num_nodes,
+                    SgnsConfig(dim=4, epochs=1,
+                               subsample_threshold=threshold),
+                    batch_sentences=64, seed=3, objective=objective,
+                    workers=workers,
+                )
+            return rec, stats
+
+        _, plain = run(None)
+        rec, sub = run(1e-4)
+        assert sub.pairs_trained < plain.pairs_trained
+        assert rec.counters["sgns.pairs"] == sub.pairs_trained
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("batch_sentences", [1, 64])
+    def test_shared_negatives_honoured_on_every_path(
+        self, workers, batch_sentences, email_corpus, email_graph
+    ):
+        """Bug: the sentence-sequential and parallel trainers ignored
+        ``shared_negatives`` and the parallel one reported K draws per
+        pair regardless.  Fix: the model draws its own negatives, K per
+        update when they are shared."""
+        from repro.embedding import SgnsConfig, train_embeddings
+        from repro.observability import Recorder, use_recorder
+
+        config = SgnsConfig(dim=4, epochs=1, shared_negatives=True)
+        rec = Recorder()
+        with use_recorder(rec):
+            _, stats = train_embeddings(
+                email_corpus, email_graph.num_nodes, config,
+                batch_sentences=batch_sentences, seed=3, workers=workers,
+            )
+        drawn = rec.counters["sgns.negatives_drawn"]
+        assert drawn == stats.updates * config.negatives
+        assert stats.negatives_drawn == drawn
 
 
 class TestStratifiedSplitRegressions:

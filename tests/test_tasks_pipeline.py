@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.embedding import SgnsConfig
+from repro.errors import PipelineError
 from repro.tasks import Pipeline, PipelineConfig
 from repro.tasks.link_prediction import LinkPredictionConfig
 from repro.tasks.node_classification import NodeClassificationConfig
@@ -94,6 +95,11 @@ class TestLinkPropertyPipeline:
 
 
 class TestPipelineConfigKnobs:
+    @pytest.mark.parametrize("bad", [0, -1, None, 2.5, True])
+    def test_batch_sentences_must_be_positive_int(self, bad):
+        with pytest.raises(PipelineError, match="batch_sentences"):
+            PipelineConfig(batch_sentences=bad)
+
     def test_directed_by_default(self, email_edges):
         cfg = PipelineConfig(
             walk=WalkConfig(num_walks_per_node=2, max_walk_length=4),
@@ -117,7 +123,7 @@ class TestPipelineConfigKnobs:
         cfg = PipelineConfig(
             walk=WalkConfig(num_walks_per_node=1, max_walk_length=4),
             sgns=SgnsConfig(dim=4, epochs=1),
-            batch_sentences=None,
+            batch_sentences=1,
         )
         emb, _, _, stats, _ = Pipeline(cfg).embed(email_edges, seed=5)
         assert stats.updates == stats.sentences
