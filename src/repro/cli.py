@@ -15,23 +15,25 @@ the equivalent front door:
   ``.npz`` bundle or a named dataset shape;
 - ``repro characterize``— the hardware study (instruction mixes, GPU
   stalls, thread scaling) on a synthetic ER graph;
-- ``repro serve-sim``   — the online serving simulation: build
-  embeddings, stand up the in-process serving frontend
-  (:mod:`repro.serving`), drive it with a closed-loop load generator,
-  optionally appending edge batches + incremental updates mid-run;
-- ``repro stream-sim``  — the durable streaming-ingest simulation: a
-  generator thread feeds edge batches through a bounded ingest queue
-  into the :class:`~repro.stream.controller.StreamController` (WAL
-  append, then graph apply, then policy-driven embedding refresh)
-  while the serving frontend takes query load; ``--replay-only``
-  recovers and reports a previous run's WAL, which is how the CI
-  stream-smoke job verifies crash recovery;
-- ``repro pipeline-sim`` — the end-to-end stream→serve loop: ingest
-  queue + optional WAL + policy-driven incremental refresh fanned out
-  to the replicated sharded tier (:mod:`repro.serving.sharding`) under
-  :class:`~repro.serving.controlplane.ControlPlane` supervision, all
-  while a closed-loop load generator queries the tier; chaos kills are
-  auto-respawned by the control plane.
+- ``repro serve-sim``, ``repro stream-sim``, ``repro pipeline-sim`` —
+  three presets of one online-deployment runner (:func:`_run_sim`):
+  split an edge stream into an initial graph and live batches, build
+  the incremental embedder, serve it (the in-process micro-batched
+  frontend at ``--shards 1``, the replicated sharded tier of
+  :mod:`repro.serving.sharding` above), feed the live batches through
+  the bounded ingest queue into the
+  :class:`~repro.stream.controller.StreamController` (optional WAL
+  append, then graph apply, then policy-driven refresh), and drive
+  the tier with a closed-loop load generator.  ``serve-sim`` defaults
+  to one shard with no live batches and refreshes after every batch
+  (``--update-batches``); ``stream-sim`` always logs to a WAL, offers
+  every backpressure and refresh policy, and ``--replay-only``
+  recovers and reports a previous run's WAL (how the CI stream-smoke
+  job verifies crash recovery); ``pipeline-sim`` always runs the
+  :class:`~repro.serving.controlplane.ControlPlane` over the sharded
+  tier, which respawns chaos kills.  ``--autoscale``,
+  ``--kill-replica``, ``--replicas > 1`` and ``--rebalance-every``
+  act on the sharded tier and are rejected at ``--shards 1``.
 
 Every command takes ``--seed`` and the pipeline hyperparameters the
 artifact exposes (walks, walk length, dimension, epochs...).  Run
@@ -41,17 +43,28 @@ artifact exposes (walks, walk length, dimension, epochs...).  Run
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
-from contextlib import contextmanager
+import threading
+import time
+from contextlib import ExitStack, closing, contextmanager
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from repro.bench.tables import render_table
 from repro.embedding.trainer import SgnsConfig
 from repro.errors import ReproError
-from repro.graph import TemporalGraph, compute_stats, generators
+from repro.graph import (
+    TemporalEdgeList,
+    TemporalGraph,
+    compute_stats,
+    generators,
+)
 from repro.graph.io import LabeledTemporalDataset, read_wel, write_wel
 from repro.observability import Recorder, get_recorder, use_recorder
 from repro.parallel import SupervisorConfig
+from repro.stream.wal import DEFAULT_SEGMENT_MAX_BYTES
 from repro.tasks.link_prediction import LinkPredictionConfig
 from repro.tasks.node_classification import NodeClassificationConfig
 from repro.tasks.pipeline import Pipeline, PipelineConfig
@@ -60,6 +73,16 @@ from repro.walk.config import WalkConfig
 
 LP_SHAPES = ("ia-email", "wiki-talk", "stackoverflow")
 NC_SHAPES = ("dblp3", "dblp5", "brain")
+
+
+def _add_observability_arguments(parser: argparse.ArgumentParser) -> None:
+    group = parser.add_argument_group("observability")
+    group.add_argument("--metrics-out", default=None, metavar="FILE",
+                       help="write run counters/gauges/histograms as JSON "
+                            "(see docs/observability.md)")
+    group.add_argument("--trace-out", default=None, metavar="FILE",
+                       help="write the span trace as JSONL, one span per "
+                            "line (see docs/observability.md)")
 
 
 def _add_pipeline_arguments(parser: argparse.ArgumentParser) -> None:
@@ -117,13 +140,7 @@ def _add_pipeline_arguments(parser: argparse.ArgumentParser) -> None:
     fault.add_argument("--max-retries", type=int, default=2,
                        help="retries per failed worker shard before "
                             "degrading to in-process execution")
-    obs = parser.add_argument_group("observability")
-    obs.add_argument("--metrics-out", default=None, metavar="FILE",
-                     help="write run counters/gauges/histograms as JSON "
-                          "(see docs/observability.md)")
-    obs.add_argument("--trace-out", default=None, metavar="FILE",
-                     help="write the span trace as JSONL, one span per "
-                          "line (see docs/observability.md)")
+    _add_observability_arguments(parser)
     parser.add_argument("--seed", type=int, default=0)
 
 
@@ -373,253 +390,6 @@ def cmd_characterize(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_serve_sim(args: argparse.Namespace) -> int:
-    """``repro serve-sim``: closed-loop online serving simulation."""
-    import itertools
-    import threading
-    import time as time_mod
-
-    import numpy as np
-
-    from repro.graph import DynamicTemporalGraph
-    from repro.serving import (
-        EmbeddingStore,
-        ServingConfig,
-        ServingFrontend,
-        run_load,
-    )
-    from repro.tasks.incremental import IncrementalEmbedder
-
-    if args.input:
-        edges = read_wel(args.input)
-        source = args.input
-    else:
-        edges = generators.erdos_renyi_temporal(args.nodes, args.edges,
-                                                seed=args.seed)
-        source = f"ER {args.nodes}x{args.edges} (synthetic)"
-    ordered = edges.sorted_by_time()
-
-    # Hold back a tail of the stream to replay as live appends.
-    batches = []
-    if args.update_batches > 0:
-        cut = int(0.7 * len(ordered))
-        step = max(1, (len(ordered) - cut) // args.update_batches)
-        initial = ordered.take(np.arange(cut))
-        for i in range(args.update_batches):
-            stop = (cut + (i + 1) * step if i < args.update_batches - 1
-                    else len(ordered))
-            batches.append(np.arange(cut + i * step, stop))
-        batches = [ordered.take(index) for index in batches]
-    else:
-        initial = ordered
-
-    dynamic = DynamicTemporalGraph(initial)
-    store = EmbeddingStore()
-    embedder = IncrementalEmbedder(
-        dynamic,
-        walk_config=WalkConfig(num_walks_per_node=args.walks,
-                               max_walk_length=args.length, bias=args.bias),
-        sgns_config=SgnsConfig(dim=args.dim, epochs=args.w2v_epochs),
-        seed=args.seed,
-        store=store,
-        sampler=args.sampler,
-    )
-    with _observability(args) as obs_recorder:
-        recorder = obs_recorder if obs_recorder is not None else Recorder()
-        with use_recorder(recorder):
-            build_start = time_mod.perf_counter()
-            embedder.rebuild()
-            build_seconds = time_mod.perf_counter() - build_start
-            print(f"input: {source} — {dynamic.num_nodes} nodes, "
-                  f"{dynamic.num_edges} edges; initial embeddings in "
-                  f"{build_seconds:.2f}s (generation {dynamic.generation})")
-
-            writer_error: list[BaseException] = []
-
-            def ingest() -> None:
-                try:
-                    for batch in batches:
-                        time_mod.sleep(args.update_interval)
-                        dynamic.append(batch)
-                        report = embedder.update()
-                        print(f"  ingest: generation {report.generation}, "
-                              f"{report.affected_nodes} affected nodes, "
-                              f"{report.seconds:.2f}s")
-                except BaseException as exc:  # surfaced after the run
-                    writer_error.append(exc)
-
-            load_kwargs = dict(
-                num_requests=args.requests,
-                clients=args.clients,
-                topk_fraction=args.topk_fraction,
-                k=args.k,
-                seed=args.seed,
-            )
-            if args.shards > 1:
-                from repro.serving import (
-                    ShardPlan,
-                    ShardedFrontend,
-                    ShardedPublisher,
-                    ShardedServingConfig,
-                )
-
-                plan = ShardPlan(args.shards, args.shard_plan)
-                shard_config = ShardedServingConfig(
-                    default_k=args.k,
-                    cache_size=args.cache_size,
-                    index=args.index,
-                    ann=_ann_config(args),
-                    replication_factor=args.replicas,
-                )
-                with ShardedFrontend(plan, shard_config) as frontend:
-                    publisher = ShardedPublisher(frontend)
-                    # Installs the warm snapshot now and fans out every
-                    # incremental publish the ingest thread triggers.
-                    publisher.attach(store)
-                    print(f"  shards: {plan.num_shards} x "
-                          f"{args.replicas} workers ({plan.strategy} "
-                          f"plan), serving version {frontend.version}")
-                    controlplane = (_start_controlplane(args, frontend)
-                                    if args.autoscale else None)
-                    stop_chaos = threading.Event()
-                    chaos = []
-                    if args.kill_replica is not None:
-                        shard_id, replica, delay = _parse_kill_replica(
-                            args.kill_replica, args.shards, args.replicas)
-
-                        def killer() -> None:
-                            if not stop_chaos.wait(delay):
-                                frontend.kill_replica(shard_id, replica)
-                                print(f"  chaos: killed shard {shard_id} "
-                                      f"replica {replica} after "
-                                      f"{delay:.2f}s")
-
-                        chaos.append(threading.Thread(
-                            target=killer, daemon=True,
-                            name="serve-sim-kill"))
-                    if args.rebalance_every > 0:
-                        other = ("range" if args.shard_plan == "hash"
-                                 else "hash")
-
-                        def rebalancer() -> None:
-                            strategies = itertools.cycle(
-                                [other, args.shard_plan])
-                            while not stop_chaos.wait(
-                                    args.rebalance_every):
-                                strategy = next(strategies)
-                                rebalanced = frontend.rebalance(
-                                    ShardPlan(args.shards, strategy))
-                                print(f"  rebalance: -> {strategy} plan "
-                                      f"in {rebalanced.seconds:.3f}s "
-                                      f"(drained={rebalanced.drained})")
-
-                        chaos.append(threading.Thread(
-                            target=rebalancer, daemon=True,
-                            name="serve-sim-rebalance"))
-                    for thread in chaos:
-                        thread.start()
-                    writer = threading.Thread(target=ingest, daemon=True,
-                                              name="serve-sim-ingest")
-                    writer.start()
-                    report = run_load(frontend, **load_kwargs)
-                    stop_chaos.set()
-                    writer.join()
-                    for thread in chaos:
-                        thread.join()
-                    if controlplane is not None:
-                        _settle_controlplane(frontend, controlplane,
-                                             args.shards * args.replicas)
-                        controlplane.close()
-                    # Pull worker-internal recorder state back to the
-                    # router before the workers go away.
-                    frontend.worker_metrics()
-                    publisher.detach()
-            else:
-                config = ServingConfig(
-                    max_batch_size=args.max_batch_size,
-                    max_delay=args.max_delay_ms / 1e3,
-                    default_k=args.k,
-                    cache_size=args.cache_size,
-                    index=args.index,
-                    ann=_ann_config(args),
-                )
-                with ServingFrontend(store, config) as frontend:
-                    if frontend.ann is not None:
-                        # Serve the initial snapshot from the IVF index
-                        # from the first request (later publishes rebuild
-                        # async).
-                        ready = frontend.ann.wait_ready(timeout=60.0)
-                        index = frontend.ann.current
-                        if ready and index is not None:
-                            print(
-                                f"  ann: IVF index v{index.version} — "
-                                f"{index.nlist} cells, nprobe "
-                                f"{index.nprobe}, "
-                                f"{index.nbytes / 1e6:.2f} MB, built in "
-                                f"{index.build_seconds:.3f}s")
-                        else:
-                            print("  ann: index not ready, serving exact "
-                                  "fallback until the build lands")
-                    writer = threading.Thread(target=ingest, daemon=True,
-                                              name="serve-sim-ingest")
-                    writer.start()
-                    report = run_load(frontend, **load_kwargs)
-                    writer.join()
-            if writer_error:
-                raise writer_error[0]
-
-            counters = recorder.counters
-            print()
-            print(render_table([report.as_row()],
-                               title="Closed-loop load (client side)"))
-            if args.shards > 1:
-                print()
-                print(render_table([_shard_row(recorder)],
-                                   title="Sharded tier (recorder)"))
-                print()
-                print(render_table(
-                    _per_shard_rows(recorder, args.shards, report.seconds),
-                    title="Per-shard breakdown (recorder)",
-                ))
-                print()
-                print(render_table(
-                    [_worker_row(recorder)],
-                    title="Worker internals (aggregated over replicas)",
-                ))
-                if args.autoscale:
-                    print()
-                    print(render_table(
-                        [_controlplane_row(recorder)],
-                        title="Control plane (recorder)"))
-            else:
-                hits = counters.get("serving.index.cache_hits", 0)
-                misses = counters.get("serving.index.cache_misses", 0)
-                batch_hist = recorder.histograms.get("serving.batch.size")
-                print()
-                print(render_table(
-                    [{
-                        "publishes": int(
-                            counters.get("serving.store.publishes", 0)),
-                        "served generation": int(store.generation),
-                        "cache hit rate": (
-                            round(hits / (hits + misses), 3)
-                            if hits + misses else 0.0
-                        ),
-                        "mean batch": (round(batch_hist.mean, 2)
-                                       if batch_hist else 0.0),
-                        "gemm rows": int(
-                            counters.get("serving.index.gemm_rows", 0)),
-                    }],
-                    title="Serving internals (recorder)",
-                ))
-                if args.index == "ivf":
-                    print()
-                    print(render_table(
-                        [_ann_row(recorder)],
-                        title="ANN index internals (recorder)"))
-    return 0
-
-
 def _shard_row(recorder) -> dict:
     """One summary row of router-side ``serving.shard.*`` metrics.
 
@@ -727,9 +497,8 @@ def _parse_kill_replica(spec: str, num_shards: int,
     return shard, replica, delay
 
 
-def _start_controlplane(args: argparse.Namespace, frontend):
-    """Build and start the control plane from the --autoscale knobs."""
-    from repro.faults import FaultPlan
+def _controlplane(args: argparse.Namespace, frontend, fault_plan):
+    """Build the control plane from the policy knobs (started on enter)."""
     from repro.serving import ControlPlane, ControlPlaneConfig
 
     config = ControlPlaneConfig(
@@ -739,13 +508,11 @@ def _start_controlplane(args: argparse.Namespace, frontend):
         skew_observations=args.skew_observations,
         rebalance_cooldown=args.rebalance_cooldown,
     )
-    plane = ControlPlane(frontend, config,
-                         fault_plan=FaultPlan.from_env()).start()
     print(f"  control plane: sweeping every {config.health_period:.2f}s "
           f"(max {config.max_respawns} respawns/slot, skew >= "
           f"{config.skew_threshold:.1f}x over "
           f"{config.skew_observations} sweeps)")
-    return plane
+    return ControlPlane(frontend, config, fault_plan=fault_plan)
 
 
 def _settle_controlplane(frontend, controlplane, want_workers: int,
@@ -757,16 +524,14 @@ def _settle_controlplane(frontend, controlplane, want_workers: int,
     so the clean path waits (bounded) until every slot is live again —
     or the circuit breaker gave up on one — before stopping the loop.
     """
-    import time as time_mod
-
     recorder = get_recorder()
-    deadline = time_mod.monotonic() + timeout
-    while time_mod.monotonic() < deadline:
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
         gave_up = recorder.counters.get(
             "serving.controlplane.respawn_giveup", 0)
         if frontend.alive_workers >= want_workers or gave_up:
             return
-        time_mod.sleep(controlplane.config.health_period)
+        time.sleep(controlplane.config.health_period)
 
 
 def _controlplane_row(recorder) -> dict:
@@ -823,197 +588,6 @@ def _add_controlplane_arguments(parser: argparse.ArgumentParser,
                             "rebalances (no flapping)")
 
 
-def cmd_pipeline_sim(args: argparse.Namespace) -> int:
-    """``repro pipeline-sim``: the end-to-end stream→serve loop.
-
-    One process wires the whole deployment story together: a generator
-    thread feeds edge batches through the bounded ingest queue into the
-    :class:`~repro.stream.controller.StreamController` (WAL-first when
-    ``--wal-dir`` is given, then graph apply, then policy-driven
-    incremental refresh), every refreshed snapshot fans out through
-    :meth:`~repro.serving.sharding.ShardedPublisher.attach` to the
-    replicated sharded tier, the control plane supervises the workers,
-    and a closed-loop load generator queries the tier the whole time.
-    """
-    import threading
-    import time as time_mod
-
-    import numpy as np
-
-    from repro.faults import FaultPlan
-    from repro.graph import DynamicTemporalGraph
-    from repro.serving import (
-        ControlPlane,
-        ControlPlaneConfig,
-        EmbeddingStore,
-        ShardPlan,
-        ShardedFrontend,
-        ShardedPublisher,
-        ShardedServingConfig,
-        run_load,
-    )
-    from repro.stream import (
-        EveryNEdges,
-        IngestQueue,
-        StreamController,
-        WriteAheadLog,
-    )
-    from repro.tasks.incremental import IncrementalEmbedder
-
-    if args.input:
-        edges = read_wel(args.input)
-        source = args.input
-    else:
-        edges = generators.erdos_renyi_temporal(args.nodes, args.edges,
-                                                seed=args.seed)
-        source = f"ER {args.nodes}x{args.edges} (synthetic)"
-    ordered = edges.sorted_by_time()
-
-    # 60% of the stream seeds the initial graph; the tail arrives live.
-    cut = int(0.6 * len(ordered))
-    initial = ordered.take(np.arange(cut))
-    step = max(1, (len(ordered) - cut) // args.batches)
-    batches = []
-    for i in range(args.batches):
-        stop = (cut + (i + 1) * step if i < args.batches - 1
-                else len(ordered))
-        if stop > cut + i * step:
-            batches.append(ordered.take(np.arange(cut + i * step, stop)))
-
-    fault_plan = FaultPlan.from_env()
-    with _observability(args) as obs_recorder:
-        recorder = obs_recorder if obs_recorder is not None else Recorder()
-        with use_recorder(recorder):
-            wal = None
-            if args.wal_dir:
-                wal = WriteAheadLog(args.wal_dir, fault_plan=fault_plan)
-            dynamic = DynamicTemporalGraph()
-            if len(initial):
-                if wal is not None:
-                    wal.append(initial)
-                dynamic.append(initial)
-            store = EmbeddingStore()
-            embedder = IncrementalEmbedder(
-                dynamic,
-                walk_config=WalkConfig(num_walks_per_node=args.walks,
-                                       max_walk_length=args.length,
-                                       bias=args.bias),
-                sgns_config=SgnsConfig(dim=args.dim,
-                                       epochs=args.w2v_epochs),
-                seed=args.seed,
-                store=store,
-                sampler=args.sampler,
-            )
-            build_start = time_mod.perf_counter()
-            embedder.rebuild()
-            print(f"input: {source} — {dynamic.num_nodes} nodes, "
-                  f"{dynamic.num_edges} edges initial; embeddings in "
-                  f"{time_mod.perf_counter() - build_start:.2f}s; "
-                  f"{len(batches)} live batches to stream"
-                  + (f"; WAL at {args.wal_dir}" if wal is not None
-                     else ""))
-
-            queue = IngestQueue(max_edges=args.queue_edges,
-                                policy="block")
-            controller = StreamController(
-                dynamic, queue, wal=wal, embedder=embedder,
-                policy=EveryNEdges(args.refresh_edges),
-                fault_plan=fault_plan,
-            )
-            plan = ShardPlan(args.shards, args.shard_plan)
-            shard_config = ShardedServingConfig(
-                default_k=args.k,
-                replication_factor=args.replicas,
-            )
-            cp_config = ControlPlaneConfig(
-                health_period=args.health_period,
-                max_respawns=args.max_respawns,
-                skew_threshold=args.skew_threshold,
-                skew_observations=args.skew_observations,
-                rebalance_cooldown=args.rebalance_cooldown,
-            )
-            with ShardedFrontend(plan, shard_config) as frontend:
-                publisher = ShardedPublisher(frontend)
-                # Warm snapshot now; every refresh the controller
-                # triggers fans out to the shards automatically.
-                publisher.attach(store)
-                print(f"  shards: {plan.num_shards} x {args.replicas} "
-                      f"workers ({plan.strategy} plan), serving "
-                      f"version {frontend.version}; control plane "
-                      f"sweeping every {cp_config.health_period:.2f}s")
-                controlplane = ControlPlane(frontend, cp_config,
-                                            fault_plan=fault_plan)
-                stop_chaos = threading.Event()
-                chaos = None
-                if args.kill_replica is not None:
-                    shard_id, replica, delay = _parse_kill_replica(
-                        args.kill_replica, args.shards, args.replicas)
-
-                    def killer() -> None:
-                        if not stop_chaos.wait(delay):
-                            frontend.kill_replica(shard_id, replica)
-                            print(f"  chaos: killed shard {shard_id} "
-                                  f"replica {replica} after "
-                                  f"{delay:.2f}s")
-
-                    chaos = threading.Thread(target=killer, daemon=True,
-                                             name="pipeline-sim-kill")
-
-                def produce() -> None:
-                    for edge_batch in batches:
-                        if args.batch_interval > 0:
-                            time_mod.sleep(args.batch_interval)
-                        queue.put(edge_batch)
-
-                with controller, controlplane:
-                    producer = threading.Thread(
-                        target=produce, daemon=True,
-                        name="pipeline-sim-producer")
-                    producer.start()
-                    if chaos is not None:
-                        chaos.start()
-                    report = run_load(
-                        frontend,
-                        num_requests=args.requests,
-                        clients=args.clients,
-                        topk_fraction=args.topk_fraction,
-                        k=args.k,
-                        seed=args.seed,
-                    )
-                    stop_chaos.set()
-                    producer.join()
-                    if chaos is not None:
-                        chaos.join()
-                    _settle_controlplane(frontend, controlplane,
-                                         args.shards * args.replicas)
-                stats = controller.stats
-                frontend.worker_metrics()
-                publisher.detach()
-
-            counters = recorder.counters
-            print()
-            print(render_table([report.as_row()],
-                               title="Closed-loop load (client side)"))
-            print()
-            print(render_table(
-                [{
-                    "batches": stats.batches_applied,
-                    "edges": stats.edges_applied,
-                    "refreshes": stats.refreshes,
-                    "refresh s": round(stats.refresh_seconds, 2),
-                    "wal bytes": int(counters.get("stream.wal.bytes", 0)),
-                    "generation": dynamic.generation,
-                }],
-                title="Streaming ingest (every-n refresh)",
-            ))
-            print()
-            print(render_table([_shard_row(recorder)],
-                               title="Sharded tier (recorder)"))
-            print()
-            print(render_table([_controlplane_row(recorder)],
-                               title="Control plane (recorder)"))
-    return 0
-
 
 def _ann_config(args: argparse.Namespace):
     """Build the IvfConfig for ``--index ivf`` runs (None otherwise)."""
@@ -1048,37 +622,157 @@ def _ann_row(recorder) -> dict:
     }
 
 
-def _add_ann_arguments(group) -> None:
-    """``--index``/IVF knobs shared by serve-sim and stream-sim."""
-    group.add_argument("--index", default="exact",
-                       choices=["exact", "ivf"],
-                       help="top-k index: exact blocked scan (oracle) or "
-                            "approximate IVF probing")
-    group.add_argument("--nlist", type=int, default=None,
-                       help="IVF cell count (default: ~sqrt(nodes))")
-    group.add_argument("--nprobe", type=int, default=8,
-                       help="IVF cells probed per query (= nlist probes "
-                            "everything: exact results)")
-    group.add_argument("--ann-recall-every", type=int, default=100,
-                       help="shadow-check every Nth ANN query against the "
-                            "exact oracle and record its recall (0 = off)")
+def _split_stream(ordered: TemporalEdgeList, holdback: float, batches: int
+                  ) -> tuple[TemporalEdgeList, list[TemporalEdgeList]]:
+    """Split a time-ordered stream into the initial graph and live batches.
+
+    The last ``holdback`` fraction of the stream arrives as ``batches``
+    live batches of ``held // batches`` edges each (at least one), the
+    last batch taking the rest.  When there are more batches than
+    held-back edges the stream runs out first: every held-back edge
+    still arrives exactly once and no batch is empty.  ``batches <= 0``
+    holds nothing back.
+    """
+    if batches <= 0:
+        return ordered, []
+    total = len(ordered)
+    cut = int((1 - holdback) * total)
+    step = max(1, (total - cut) // batches)
+    bounds = [*range(cut, total, step)[:batches], total]
+    live = [ordered.take(np.arange(start, stop))
+            for start, stop in zip(bounds, bounds[1:])]
+    return ordered.take(np.arange(cut)), live
 
 
-def cmd_stream_sim(args: argparse.Namespace) -> int:
-    """``repro stream-sim``: durable streaming ingest under query load."""
-    import threading
-    import time as time_mod
+def _check_sharded_flags(args: argparse.Namespace) -> None:
+    """Reject the flags that only act on the sharded tier at one shard."""
+    if args.shards > 1:
+        return
+    for flag, is_set in (("--autoscale (the control plane)", args.autoscale),
+                         ("--kill-replica", args.kill_replica is not None),
+                         ("--replicas", args.replicas > 1),
+                         ("--rebalance-every", args.rebalance_every > 0)):
+        if is_set:
+            raise SystemExit(f"{flag} requires --shards > 1 (it acts on "
+                             f"the sharded tier), got --shards {args.shards}")
 
-    import numpy as np
 
-    from repro.faults import FaultPlan
-    from repro.graph import DynamicTemporalGraph
+@contextmanager
+def _serving_tier(args: argparse.Namespace, store) -> Iterator:
+    """Open the frontend the load runs against.
+
+    One shard is the in-process micro-batched :class:`ServingFrontend`
+    reading ``store`` directly; more is the replicated sharded tier,
+    which a :class:`ShardedPublisher` keeps in step with ``store``.
+    """
     from repro.serving import (
-        EmbeddingStore,
         ServingConfig,
         ServingFrontend,
-        run_load,
+        ShardPlan,
+        ShardedFrontend,
+        ShardedPublisher,
+        ShardedServingConfig,
     )
+
+    if args.shards <= 1:
+        config = ServingConfig(
+            max_batch_size=args.max_batch_size,
+            max_delay=args.max_delay_ms / 1e3,
+            default_k=args.k,
+            cache_size=args.cache_size,
+            index=args.index,
+            ann=_ann_config(args),
+        )
+        with ServingFrontend(store, config) as frontend:
+            if frontend.ann is not None:
+                # Serve the initial snapshot from the IVF index from the
+                # first request (later publishes rebuild async).
+                ready = frontend.ann.wait_ready(timeout=60.0)
+                index = frontend.ann.current
+                if ready and index is not None:
+                    print(f"  ann: IVF index v{index.version} — "
+                          f"{index.nlist} cells, nprobe {index.nprobe}, "
+                          f"{index.nbytes / 1e6:.2f} MB, built in "
+                          f"{index.build_seconds:.3f}s")
+                else:
+                    print("  ann: index not ready, serving exact fallback "
+                          "until the build lands")
+            yield frontend
+        return
+    plan = ShardPlan(args.shards, args.shard_plan)
+    config = ShardedServingConfig(
+        default_k=args.k,
+        cache_size=args.cache_size,
+        index=args.index,
+        ann=_ann_config(args),
+        replication_factor=args.replicas,
+    )
+    with ShardedFrontend(plan, config) as frontend:
+        publisher = ShardedPublisher(frontend)
+        # Installs the warm snapshot now and fans out every refresh the
+        # stream controller publishes.
+        publisher.attach(store)
+        print(f"  shards: {plan.num_shards} x {args.replicas} workers "
+              f"({plan.strategy} plan), serving version {frontend.version}")
+        yield frontend
+        # Pull worker-internal recorder state back to the router before
+        # the workers go away.
+        frontend.worker_metrics()
+        publisher.detach()
+
+
+def _chaos_threads(args: argparse.Namespace, frontend,
+                   stop: threading.Event) -> list[threading.Thread]:
+    """The ``--kill-replica`` and ``--rebalance-every`` drills, unstarted."""
+    threads = []
+    if args.kill_replica is not None:
+        shard_id, replica, delay = _parse_kill_replica(
+            args.kill_replica, args.shards, args.replicas)
+
+        def killer() -> None:
+            if not stop.wait(delay):
+                frontend.kill_replica(shard_id, replica)
+                print(f"  chaos: killed shard {shard_id} replica {replica} "
+                      f"after {delay:.2f}s")
+
+        threads.append(threading.Thread(target=killer, daemon=True,
+                                        name="sim-kill"))
+    if args.rebalance_every > 0:
+        from repro.serving import ShardPlan
+
+        other = "range" if args.shard_plan == "hash" else "hash"
+
+        def rebalancer() -> None:
+            strategies = itertools.cycle([other, args.shard_plan])
+            while not stop.wait(args.rebalance_every):
+                strategy = next(strategies)
+                rebalanced = frontend.rebalance(
+                    ShardPlan(args.shards, strategy))
+                print(f"  rebalance: -> {strategy} plan in "
+                      f"{rebalanced.seconds:.3f}s "
+                      f"(drained={rebalanced.drained})")
+
+        threads.append(threading.Thread(target=rebalancer, daemon=True,
+                                        name="sim-rebalance"))
+    return threads
+
+
+def _run_sim(args: argparse.Namespace) -> int:
+    """``serve-sim`` / ``stream-sim`` / ``pipeline-sim``: the online loop.
+
+    The three commands are presets of this one runner; they differ only
+    in the flags they expose and their defaults.  It splits the edge
+    stream into an initial graph and live batches, optionally logs to a
+    WAL, builds the incremental embedder, opens one serving tier,
+    optionally runs the control plane and chaos drills, feeds the live
+    batches through the ingest queue into the
+    :class:`~repro.stream.controller.StreamController` while a
+    closed-loop load generator queries the tier, and prints a summary
+    table for each stage that ran.
+    """
+    from repro.faults import FaultPlan
+    from repro.graph import DynamicTemporalGraph
+    from repro.serving import EmbeddingStore, run_load
     from repro.stream import (
         AffectedFraction,
         EveryNEdges,
@@ -1104,6 +798,7 @@ def cmd_stream_sim(args: argparse.Namespace) -> int:
             title=f"recovered from WAL {args.wal_dir}",
         ))
         return 0
+    _check_sharded_flags(args)
 
     if args.input:
         edges = read_wel(args.input)
@@ -1112,40 +807,31 @@ def cmd_stream_sim(args: argparse.Namespace) -> int:
         edges = generators.erdos_renyi_temporal(args.nodes, args.edges,
                                                 seed=args.seed)
         source = f"ER {args.nodes}x{args.edges} (synthetic)"
-    ordered = edges.sorted_by_time()
-
-    # 60% of the stream seeds the initial graph; the tail arrives live.
-    cut = int(0.6 * len(ordered))
-    initial = ordered.take(np.arange(cut))
-    step = max(1, (len(ordered) - cut) // args.batches)
-    batches = []
-    for i in range(args.batches):
-        stop = (cut + (i + 1) * step if i < args.batches - 1
-                else len(ordered))
-        if stop > cut + i * step:
-            batches.append(ordered.take(np.arange(cut + i * step, stop)))
-
-    if args.refresh_policy == "every-n":
-        policy = EveryNEdges(args.refresh_edges)
-    elif args.refresh_policy == "staleness":
+    initial, batches = _split_stream(edges.sorted_by_time(), args.holdback,
+                                     args.batches)
+    if args.refresh_policy == "staleness":
         policy = MaxStaleness(args.staleness_seconds)
-    else:
+    elif args.refresh_policy == "affected":
         policy = AffectedFraction(args.affected_fraction)
+    else:
+        policy = EveryNEdges(args.refresh_edges)
 
     fault_plan = FaultPlan.from_env()
     with _observability(args) as obs_recorder:
         recorder = obs_recorder if obs_recorder is not None else Recorder()
-        with use_recorder(recorder):
+        with use_recorder(recorder), ExitStack() as stack:
+            wal = None
+            if args.wal_dir:
+                wal = stack.enter_context(closing(WriteAheadLog(
+                    args.wal_dir, segment_max_bytes=args.wal_segment_bytes,
+                    sync=not args.no_wal_sync, fault_plan=fault_plan)))
             # The initial graph is WAL-logged too (as the first batch),
             # so --replay-only reconstructs the *entire* graph and the
             # recovered generation sequence matches the live one.
-            wal = WriteAheadLog(args.wal_dir,
-                                segment_max_bytes=args.wal_segment_bytes,
-                                sync=not args.no_wal_sync,
-                                fault_plan=fault_plan)
             dynamic = DynamicTemporalGraph()
             if len(initial):
-                wal.append(initial)
+                if wal is not None:
+                    wal.append(initial)
                 dynamic.append(initial)
             store = EmbeddingStore()
             embedder = IncrementalEmbedder(
@@ -1153,88 +839,218 @@ def cmd_stream_sim(args: argparse.Namespace) -> int:
                 walk_config=WalkConfig(num_walks_per_node=args.walks,
                                        max_walk_length=args.length,
                                        bias=args.bias),
-                sgns_config=SgnsConfig(dim=args.dim, epochs=args.w2v_epochs),
+                sgns_config=SgnsConfig(dim=args.dim,
+                                       epochs=args.w2v_epochs),
                 seed=args.seed,
                 store=store,
                 sampler=args.sampler,
             )
-            build_start = time_mod.perf_counter()
+            build_start = time.perf_counter()
             embedder.rebuild()
             print(f"input: {source} — {dynamic.num_nodes} nodes, "
                   f"{dynamic.num_edges} edges initial; embeddings in "
-                  f"{time_mod.perf_counter() - build_start:.2f}s; "
-                  f"{len(batches)} live batches to stream")
+                  f"{time.perf_counter() - build_start:.2f}s; "
+                  f"{len(batches)} live batches to stream"
+                  + (f"; WAL at {args.wal_dir}" if wal is not None
+                     else ""))
 
-            queue = IngestQueue(
-                max_edges=args.queue_edges,
-                policy=args.backpressure,
-                rate_limit=args.rate_limit,
-            )
-            controller = StreamController(
-                dynamic, queue, wal=wal, embedder=embedder, policy=policy,
-                fault_plan=fault_plan,
-            )
+            frontend = stack.enter_context(_serving_tier(args, store))
+            controlplane = None
+            if args.autoscale:
+                controlplane = stack.enter_context(
+                    _controlplane(args, frontend, fault_plan))
+            stop = threading.Event()
+            threads = _chaos_threads(args, frontend, stop)
+            controller = None
+            if batches:
+                queue = IngestQueue(max_edges=args.queue_edges,
+                                    policy=args.backpressure,
+                                    rate_limit=args.rate_limit)
+                # Entered last, so it stops first: the final drain and
+                # refresh still publish to a live tier.
+                controller = stack.enter_context(StreamController(
+                    dynamic, queue, wal=wal, embedder=embedder,
+                    policy=policy, fault_plan=fault_plan))
 
-            def produce() -> None:
-                for edge_batch in batches:
-                    if args.batch_interval > 0:
-                        time_mod.sleep(args.batch_interval)
-                    queue.put(edge_batch)
+                def produce() -> None:
+                    for edge_batch in batches:
+                        if args.batch_interval > 0:
+                            time.sleep(args.batch_interval)
+                        queue.put(edge_batch)
 
-            config = ServingConfig(
-                max_batch_size=args.max_batch_size,
-                max_delay=args.max_delay_ms / 1e3,
-                default_k=args.k,
-                cache_size=args.cache_size,
-                index=args.index,
-                ann=_ann_config(args),
+                threads.append(threading.Thread(target=produce, daemon=True,
+                                                name="sim-producer"))
+            for thread in threads:
+                thread.start()
+            report = run_load(
+                frontend,
+                num_requests=args.requests,
+                clients=args.clients,
+                topk_fraction=args.topk_fraction,
+                k=args.k,
+                seed=args.seed,
             )
-            with controller:
-                with ServingFrontend(store, config) as frontend:
-                    producer = threading.Thread(target=produce, daemon=True,
-                                                name="stream-sim-producer")
-                    producer.start()
-                    report = run_load(
-                        frontend,
-                        num_requests=args.requests,
-                        clients=args.clients,
-                        topk_fraction=args.topk_fraction,
-                        k=args.k,
-                        seed=args.seed,
-                    )
-                    producer.join()
+            stop.set()
+            for thread in threads:
+                thread.join()
+            if controlplane is not None:
+                _settle_controlplane(frontend, controlplane,
+                                     args.shards * args.replicas)
+
+        counters = recorder.counters
+        tables = [([report.as_row()], "Closed-loop load (client side)")]
+        if controller is not None:
             stats = controller.stats
-
-            counters = recorder.counters
-            print()
-            print(render_table([report.as_row()],
-                               title="Closed-loop load (client side)"))
-            print()
-            print(render_table(
-                [{
-                    "batches": stats.batches_applied,
-                    "edges": stats.edges_applied,
-                    "refreshes": stats.refreshes,
-                    "refresh s": round(stats.refresh_seconds, 2),
-                    "dropped": queue.dropped_batches,
-                    "rejected": queue.rejected_batches,
-                    "wal bytes": int(counters.get("stream.wal.bytes", 0)),
-                    "segments": wal.segment_count,
-                    "generation": dynamic.generation,
-                }],
-                title=f"Streaming ingest ({args.backpressure} backpressure, "
-                      f"{policy.name} refresh)",
-            ))
+            tables.append(([{
+                "batches": stats.batches_applied,
+                "edges": stats.edges_applied,
+                "refreshes": stats.refreshes,
+                "refresh s": round(stats.refresh_seconds, 2),
+                "dropped": queue.dropped_batches,
+                "rejected": queue.rejected_batches,
+                "wal bytes": int(counters.get("stream.wal.bytes", 0)),
+                "segments": wal.segment_count if wal is not None else 0,
+                "generation": dynamic.generation,
+            }], f"Streaming ingest ({args.backpressure} backpressure, "
+                f"{policy.name} refresh)"))
+        if args.shards > 1:
+            tables += [
+                ([_shard_row(recorder)], "Sharded tier (recorder)"),
+                (_per_shard_rows(recorder, args.shards, report.seconds),
+                 "Per-shard breakdown (recorder)"),
+                ([_worker_row(recorder)],
+                 "Worker internals (aggregated over replicas)"),
+            ]
+            if controlplane is not None:
+                tables.append(([_controlplane_row(recorder)],
+                               "Control plane (recorder)"))
+        else:
+            hits = counters.get("serving.index.cache_hits", 0)
+            misses = counters.get("serving.index.cache_misses", 0)
+            batch_hist = recorder.histograms.get("serving.batch.size")
+            tables.append(([{
+                "publishes": int(counters.get("serving.store.publishes", 0)),
+                "served generation": int(store.generation),
+                "cache hit rate": (round(hits / (hits + misses), 3)
+                                   if hits + misses else 0.0),
+                "mean batch": (round(batch_hist.mean, 2)
+                               if batch_hist else 0.0),
+                "gemm rows": int(counters.get("serving.index.gemm_rows", 0)),
+            }], "Serving internals (recorder)"))
             if args.index == "ivf":
-                print()
-                print(render_table([_ann_row(recorder)],
-                                   title="ANN index internals (recorder)"))
+                tables.append(([_ann_row(recorder)],
+                               "ANN index internals (recorder)"))
+        for rows, title in tables:
+            print()
+            print(render_table(rows, title=title))
     return 0
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+
+
+def _add_input_arguments(parser: argparse.ArgumentParser, nodes: int,
+                         edges: int) -> None:
+    """The edge stream a sim command runs on: a file or synthetic ER."""
+    parser.add_argument("--input", default=None,
+                        help=".wel temporal graph (omit for synthetic ER)")
+    parser.add_argument("--nodes", type=int, default=nodes,
+                        help="ER nodes when --input is omitted")
+    parser.add_argument("--edges", type=int, default=edges,
+                        help="ER edges when --input is omitted")
+
+
+def _add_embedding_arguments(parser: argparse.ArgumentParser, walks: int,
+                             length: int, w2v_epochs: int) -> None:
+    """Hyperparameters of the sims' incremental embedder."""
+    group = parser.add_argument_group("embedding hyperparameters")
+    group.add_argument("--sampler", default="cdf",
+                       choices=["cdf", "gumbel", "batched"],
+                       help="walk kernel for incremental refresh walks")
+    group.add_argument("--walks", type=int, default=walks,
+                       help="random walks per node (K)")
+    group.add_argument("--length", type=int, default=length,
+                       help="maximum walk length in nodes (L)")
+    group.add_argument("--bias", default="softmax-recency",
+                       choices=["uniform", "softmax-late",
+                                "softmax-recency", "linear"],
+                       help="Eq. 1 transition bias")
+    group.add_argument("--dim", type=int, default=8,
+                       help="embedding dimension (d)")
+    group.add_argument("--w2v-epochs", type=int, default=w2v_epochs,
+                       help="word2vec epochs")
+
+
+def _add_load_arguments(group, clients: int, requests: int) -> None:
+    """The closed-loop load generator's knobs."""
+    group.add_argument("--clients", type=int, default=clients,
+                       help="closed-loop client threads")
+    group.add_argument("--requests", type=int, default=requests,
+                       help="total requests across all clients")
+    group.add_argument("--topk-fraction", type=float, default=0.5,
+                       help="fraction of requests that are top-k (rest "
+                            "are link scores)")
+    group.add_argument("--k", type=int, default=10,
+                       help="recommendations per top-k request")
+
+
+def _add_frontend_arguments(group) -> None:
+    """Micro-batching, cache and index knobs of the serving frontend."""
+    group.add_argument("--max-batch-size", type=int, default=64,
+                       help="micro-batch size cap (1 = single-request "
+                            "baseline)")
+    group.add_argument("--max-delay-ms", type=float, default=2.0,
+                       help="micro-batch max wait in milliseconds")
+    group.add_argument("--cache-size", type=int, default=4096,
+                       help="top-k LRU cache entries (0 disables)")
+    group.add_argument("--index", default="exact",
+                       choices=["exact", "ivf"],
+                       help="top-k index: exact blocked scan (oracle) or "
+                            "approximate IVF probing")
+    group.add_argument("--nlist", type=int, default=None,
+                       help="IVF cell count (default: ~sqrt(nodes))")
+    group.add_argument("--nprobe", type=int, default=8,
+                       help="IVF cells probed per query (= nlist probes "
+                            "everything: exact results)")
+    group.add_argument("--ann-recall-every", type=int, default=100,
+                       help="shadow-check every Nth ANN query against the "
+                            "exact oracle and record its recall (0 = off)")
+
+
+def _add_shard_arguments(group, shards: int, replicas: int) -> None:
+    """Layout of the sharded tier and its kill drill."""
+    group.add_argument("--shards", type=int, default=shards,
+                       help="shard worker processes (>1 serves through the "
+                            "scatter/gather sharded tier)")
+    group.add_argument("--shard-plan", default="hash",
+                       choices=["hash", "range"],
+                       help="node-id partitioner for --shards > 1")
+    group.add_argument("--replicas", type=int, default=replicas,
+                       help="worker replicas per shard slice (reads fan "
+                            "out round-robin and fail over to a live "
+                            "sibling; requires --shards > 1)")
+    group.add_argument("--kill-replica", default=None,
+                       metavar="SHARD[:REPLICA[:DELAY_S]]",
+                       help="chaos drill: hard-kill one shard worker "
+                            "DELAY_S seconds (default 0.2) into the load "
+                            "run; a running control plane respawns it "
+                            "(requires --shards > 1)")
+
+
+def _add_ingest_arguments(group, refresh_edges: int, batches: int) -> None:
+    """Ingest queue, every-n refresh, and the live-batch generator."""
+    group.add_argument("--queue-edges", type=int, default=50_000,
+                       help="ingest queue bound, in edges")
+    group.add_argument("--refresh-edges", type=int, default=refresh_edges,
+                       help="every-n refresh: edges per incremental "
+                            "refresh")
+    group.add_argument("--batches", type=int, default=batches,
+                       help="live batches the generator streams (40%% of "
+                            "the input is held back for them)")
+    group.add_argument("--batch-interval", type=float, default=0.02,
+                       help="seconds between generated batches")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1306,85 +1122,41 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pipeline_arguments(hw)
     hw.set_defaults(func=cmd_characterize)
 
+    # The three sim commands are presets of one runner: each exposes its
+    # own flags and defaults, and set_defaults() fills in what it fixes.
     serve = sub.add_parser(
         "serve-sim",
         help="online serving simulation (embedding store + micro-batched "
              "frontend under closed-loop load)",
     )
-    serve.add_argument("--input", default=None,
-                       help=".wel temporal graph (omit for synthetic ER)")
-    serve.add_argument("--nodes", type=int, default=2_000,
-                       help="ER nodes when --input is omitted")
-    serve.add_argument("--edges", type=int, default=20_000,
-                       help="ER edges when --input is omitted")
-    emb = serve.add_argument_group("embedding hyperparameters")
-    emb.add_argument("--sampler", default="cdf",
-                     choices=["cdf", "gumbel", "batched"],
-                     help="walk kernel for incremental refresh walks")
-    emb.add_argument("--walks", type=int, default=5,
-                     help="random walks per node (K)")
-    emb.add_argument("--length", type=int, default=6,
-                     help="maximum walk length in nodes (L)")
-    emb.add_argument("--bias", default="softmax-recency",
-                     choices=["uniform", "softmax-late",
-                              "softmax-recency", "linear"],
-                     help="Eq. 1 transition bias")
-    emb.add_argument("--dim", type=int, default=8,
-                     help="embedding dimension (d)")
-    emb.add_argument("--w2v-epochs", type=int, default=2,
-                     help="word2vec epochs")
+    _add_input_arguments(serve, nodes=2_000, edges=20_000)
+    _add_embedding_arguments(serve, walks=5, length=6, w2v_epochs=2)
     load = serve.add_argument_group("serving and load")
-    load.add_argument("--clients", type=int, default=8,
-                      help="closed-loop client threads")
-    load.add_argument("--requests", type=int, default=5_000,
-                      help="total requests across all clients")
-    load.add_argument("--topk-fraction", type=float, default=0.5,
-                      help="fraction of requests that are top-k (rest "
-                           "are link scores)")
-    load.add_argument("--k", type=int, default=10,
-                      help="recommendations per top-k request")
-    load.add_argument("--max-batch-size", type=int, default=64,
-                      help="micro-batch size cap (1 = single-request "
-                           "baseline)")
-    load.add_argument("--max-delay-ms", type=float, default=2.0,
-                      help="micro-batch max wait in milliseconds")
-    load.add_argument("--cache-size", type=int, default=4096,
-                      help="top-k LRU cache entries (0 disables)")
-    load.add_argument("--shards", type=int, default=1,
-                      help="shard worker processes (>1 serves through the "
-                           "scatter/gather sharded tier)")
-    load.add_argument("--shard-plan", default="hash",
-                      choices=["hash", "range"],
-                      help="node-id partitioner for --shards > 1")
-    load.add_argument("--replicas", type=int, default=1,
-                      help="worker replicas per shard slice (reads "
-                           "fan out round-robin and fail over to a "
-                           "live sibling)")
+    _add_load_arguments(load, clients=8, requests=5_000)
+    _add_frontend_arguments(load)
+    _add_shard_arguments(load, shards=1, replicas=1)
     load.add_argument("--rebalance-every", type=float, default=0.0,
                       metavar="SECONDS",
                       help="live-rebalance the sharded tier between "
                            "hash and range plans at this interval "
-                           "during the load run (0 disables)")
-    load.add_argument("--kill-replica", default=None,
-                      metavar="SHARD[:REPLICA[:DELAY_S]]",
-                      help="chaos drill: hard-kill one shard worker "
-                           "DELAY_S seconds (default 0.2) into the "
-                           "load run")
-    _add_ann_arguments(load)
-    _add_controlplane_arguments(serve, autoscale_flag=True)
-    load.add_argument("--update-batches", type=int, default=0,
+                           "during the load run (0 disables; requires "
+                           "--shards > 1)")
+    load.add_argument("--update-batches", dest="batches", type=int,
+                      default=0, metavar="UPDATE_BATCHES",
                       help="hold back 30%% of the stream and replay it "
-                           "as this many live edge batches + incremental "
-                           "updates during the load run")
-    load.add_argument("--update-interval", type=float, default=0.05,
+                           "as this many live edge batches through the "
+                           "ingest queue and stream controller, one "
+                           "incremental refresh per batch")
+    load.add_argument("--update-interval", dest="batch_interval",
+                      type=float, default=0.05, metavar="UPDATE_INTERVAL",
                       help="seconds between live edge batches")
-    obs = serve.add_argument_group("observability")
-    obs.add_argument("--metrics-out", default=None, metavar="FILE",
-                     help="write run counters/gauges/histograms as JSON")
-    obs.add_argument("--trace-out", default=None, metavar="FILE",
-                     help="write the span trace as JSONL")
+    _add_controlplane_arguments(serve, autoscale_flag=True)
+    _add_observability_arguments(serve)
     serve.add_argument("--seed", type=int, default=0)
-    serve.set_defaults(func=cmd_serve_sim)
+    serve.set_defaults(func=_run_sim, holdback=0.3, replay_only=False,
+                       wal_dir=None, queue_edges=sys.maxsize,
+                       backpressure="block", rate_limit=None,
+                       refresh_policy="every-n", refresh_edges=1)
 
     stream = sub.add_parser(
         "stream-sim",
@@ -1397,28 +1169,8 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--replay-only", action="store_true",
                         help="recover and report the WAL contents, then exit "
                              "(crash-recovery verification; no load run)")
-    stream.add_argument("--input", default=None,
-                        help=".wel temporal graph (omit for synthetic ER)")
-    stream.add_argument("--nodes", type=int, default=2_000,
-                        help="ER nodes when --input is omitted")
-    stream.add_argument("--edges", type=int, default=20_000,
-                        help="ER edges when --input is omitted")
-    emb = stream.add_argument_group("embedding hyperparameters")
-    emb.add_argument("--sampler", default="cdf",
-                     choices=["cdf", "gumbel", "batched"],
-                     help="walk kernel for incremental refresh walks")
-    emb.add_argument("--walks", type=int, default=5,
-                     help="random walks per node (K)")
-    emb.add_argument("--length", type=int, default=6,
-                     help="maximum walk length in nodes (L)")
-    emb.add_argument("--bias", default="softmax-recency",
-                     choices=["uniform", "softmax-late",
-                              "softmax-recency", "linear"],
-                     help="Eq. 1 transition bias")
-    emb.add_argument("--dim", type=int, default=8,
-                     help="embedding dimension (d)")
-    emb.add_argument("--w2v-epochs", type=int, default=2,
-                     help="word2vec epochs")
+    _add_input_arguments(stream, nodes=2_000, edges=20_000)
+    _add_embedding_arguments(stream, walks=5, length=6, w2v_epochs=2)
     ingest = stream.add_argument_group("ingest: WAL, queue, refresh")
     ingest.add_argument("--wal-segment-bytes", type=int, default=256 * 1024,
                         help="WAL segment rotation threshold")
@@ -1428,48 +1180,25 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--backpressure", default="block",
                         choices=["block", "drop_oldest", "reject"],
                         help="ingest-queue overflow policy")
-    ingest.add_argument("--queue-edges", type=int, default=50_000,
-                        help="ingest queue bound, in edges")
     ingest.add_argument("--rate-limit", type=float, default=None,
                         help="token-bucket producer limit in edges/second "
                              "(default: unlimited)")
     ingest.add_argument("--refresh-policy", default="every-n",
                         choices=["every-n", "staleness", "affected"],
                         help="when to refresh embeddings")
-    ingest.add_argument("--refresh-edges", type=int, default=1000,
-                        help="every-n: edges per refresh")
     ingest.add_argument("--staleness-seconds", type=float, default=0.5,
                         help="staleness: max wall-clock age of pending edges")
     ingest.add_argument("--affected-fraction", type=float, default=0.1,
                         help="affected: touched-node fraction per refresh")
-    ingest.add_argument("--batches", type=int, default=8,
-                        help="live batches the generator streams (40%% of "
-                             "the input is held back for them)")
-    ingest.add_argument("--batch-interval", type=float, default=0.02,
-                        help="seconds between generated batches")
+    _add_ingest_arguments(ingest, refresh_edges=1000, batches=8)
     load = stream.add_argument_group("serving and load")
-    load.add_argument("--clients", type=int, default=4,
-                      help="closed-loop client threads")
-    load.add_argument("--requests", type=int, default=2_000,
-                      help="total requests across all clients")
-    load.add_argument("--topk-fraction", type=float, default=0.5,
-                      help="fraction of requests that are top-k")
-    load.add_argument("--k", type=int, default=10,
-                      help="recommendations per top-k request")
-    load.add_argument("--max-batch-size", type=int, default=64,
-                      help="micro-batch size cap")
-    load.add_argument("--max-delay-ms", type=float, default=2.0,
-                      help="micro-batch max wait in milliseconds")
-    load.add_argument("--cache-size", type=int, default=4096,
-                      help="top-k LRU cache entries (0 disables)")
-    _add_ann_arguments(load)
-    obs = stream.add_argument_group("observability")
-    obs.add_argument("--metrics-out", default=None, metavar="FILE",
-                     help="write run counters/gauges/histograms as JSON")
-    obs.add_argument("--trace-out", default=None, metavar="FILE",
-                     help="write the span trace as JSONL")
+    _add_load_arguments(load, clients=4, requests=2_000)
+    _add_frontend_arguments(load)
+    _add_observability_arguments(stream)
     stream.add_argument("--seed", type=int, default=0)
-    stream.set_defaults(func=cmd_stream_sim)
+    stream.set_defaults(func=_run_sim, holdback=0.4, shards=1, replicas=1,
+                        kill_replica=None, rebalance_every=0.0,
+                        autoscale=False)
 
     pipe = sub.add_parser(
         "pipeline-sim",
@@ -1477,71 +1206,27 @@ def build_parser() -> argparse.ArgumentParser:
              "incremental refresh fanned out to the replicated sharded "
              "tier under control-plane supervision and query load",
     )
-    pipe.add_argument("--input", default=None,
-                      help=".wel temporal graph (omit for synthetic ER)")
-    pipe.add_argument("--nodes", type=int, default=1_000,
-                      help="ER nodes when --input is omitted")
-    pipe.add_argument("--edges", type=int, default=10_000,
-                      help="ER edges when --input is omitted")
-    emb = pipe.add_argument_group("embedding hyperparameters")
-    emb.add_argument("--sampler", default="cdf",
-                     choices=["cdf", "gumbel", "batched"],
-                     help="walk kernel for incremental refresh walks")
-    emb.add_argument("--walks", type=int, default=2,
-                     help="random walks per node (K)")
-    emb.add_argument("--length", type=int, default=4,
-                     help="maximum walk length in nodes (L)")
-    emb.add_argument("--bias", default="softmax-recency",
-                     choices=["uniform", "softmax-late",
-                              "softmax-recency", "linear"],
-                     help="Eq. 1 transition bias")
-    emb.add_argument("--dim", type=int, default=8,
-                     help="embedding dimension (d)")
-    emb.add_argument("--w2v-epochs", type=int, default=1,
-                     help="word2vec epochs")
+    _add_input_arguments(pipe, nodes=1_000, edges=10_000)
+    _add_embedding_arguments(pipe, walks=2, length=4, w2v_epochs=1)
     ingest = pipe.add_argument_group("ingest")
     ingest.add_argument("--wal-dir", default=None,
                         help="write-ahead-log directory (omit to stream "
                              "without durability)")
-    ingest.add_argument("--queue-edges", type=int, default=50_000,
-                        help="ingest queue bound, in edges")
-    ingest.add_argument("--refresh-edges", type=int, default=500,
-                        help="incremental refresh every N applied edges")
-    ingest.add_argument("--batches", type=int, default=6,
-                        help="live batches the generator streams (40%% of "
-                             "the input is held back for them)")
-    ingest.add_argument("--batch-interval", type=float, default=0.02,
-                        help="seconds between generated batches")
+    _add_ingest_arguments(ingest, refresh_edges=500, batches=6)
     load = pipe.add_argument_group("sharded serving and load")
-    load.add_argument("--shards", type=int, default=2,
-                      help="shard worker processes")
-    load.add_argument("--shard-plan", default="hash",
-                      choices=["hash", "range"],
-                      help="node-id partitioner")
-    load.add_argument("--replicas", type=int, default=2,
-                      help="worker replicas per shard slice")
-    load.add_argument("--kill-replica", default=None,
-                      metavar="SHARD[:REPLICA[:DELAY_S]]",
-                      help="chaos drill: hard-kill one shard worker "
-                           "DELAY_S seconds (default 0.2) into the load "
-                           "run; the control plane respawns it")
-    load.add_argument("--clients", type=int, default=4,
-                      help="closed-loop client threads")
-    load.add_argument("--requests", type=int, default=1_000,
-                      help="total requests across all clients")
-    load.add_argument("--topk-fraction", type=float, default=0.5,
-                      help="fraction of requests that are top-k")
-    load.add_argument("--k", type=int, default=10,
-                      help="recommendations per top-k request")
+    _add_shard_arguments(load, shards=2, replicas=2)
+    _add_load_arguments(load, clients=4, requests=1_000)
     _add_controlplane_arguments(pipe, autoscale_flag=False)
-    obs = pipe.add_argument_group("observability")
-    obs.add_argument("--metrics-out", default=None, metavar="FILE",
-                     help="write run counters/gauges/histograms as JSON")
-    obs.add_argument("--trace-out", default=None, metavar="FILE",
-                     help="write the span trace as JSONL")
+    _add_observability_arguments(pipe)
     pipe.add_argument("--seed", type=int, default=0)
-    pipe.set_defaults(func=cmd_pipeline_sim)
-
+    # The control plane always runs, so --shards must be > 1; the WAL
+    # keeps the library's segment size; the tier keeps its defaults.
+    pipe.set_defaults(func=_run_sim, holdback=0.4, replay_only=False,
+                      autoscale=True, rebalance_every=0.0,
+                      backpressure="block", rate_limit=None,
+                      refresh_policy="every-n",
+                      wal_segment_bytes=DEFAULT_SEGMENT_MAX_BYTES,
+                      no_wal_sync=False, cache_size=4096, index="exact")
     return parser
 
 

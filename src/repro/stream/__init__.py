@@ -22,8 +22,9 @@ an embedding refresh:
 
 See ``docs/streaming.md`` for the WAL format, the backpressure/refresh
 policy trade-offs, and the ``stream.*`` metric catalog; the ``repro
-stream-sim`` CLI subcommand wires the full topology, and
-``bench_stream_ingest`` measures it.
+stream-sim`` / ``pipeline-sim`` / ``serve-sim --update-batches`` CLI
+presets wire the full topology, and ``bench_stream_ingest`` measures
+it.
 """
 
 from repro.stream.controller import ControllerStats, StreamController

@@ -174,17 +174,25 @@ class TestCharacterize:
 
 
 class TestServeSim:
-    def test_closed_loop_run_with_live_updates(self, capsys):
+    def test_closed_loop_run_with_live_updates(self, tmp_path, capsys):
+        import json
+
+        metrics = tmp_path / "serve_metrics.json"
         code = main(["serve-sim", "--nodes", "200", "--edges", "1500",
                      "--requests", "300", "--clients", "2",
                      "--update-batches", "1", "--update-interval", "0.01",
                      "--walks", "2", "--length", "4", "--dim", "4",
-                     "--w2v-epochs", "1", "--seed", "1"])
+                     "--w2v-epochs", "1", "--seed", "1",
+                     "--metrics-out", str(metrics)])
         assert code == 0
         out = capsys.readouterr().out
         assert "Closed-loop load" in out
         assert "Serving internals" in out
-        assert "ingest: generation 1" in out
+        # The live batch went through the stream controller, was
+        # refreshed, and the refresh was published.
+        counters = json.loads(metrics.read_text())["counters"]
+        assert counters["stream.controller.batches"] == 1
+        assert counters["serving.store.publishes"] == 2
 
     def test_metrics_export(self, tmp_path, capsys):
         metrics = tmp_path / "serve_metrics.json"
@@ -288,3 +296,154 @@ class TestPipelineSim:
         assert counters["serving.controlplane.respawns"] >= 1
         assert counters.get("loadgen.errors", 0) == 0
         assert counters.get("serving.shard.degraded_queries", 0) == 0
+
+
+SIM_COMMANDS = ("serve-sim", "stream-sim", "pipeline-sim")
+
+# Every option of the three sim commands with its default, as the
+# commands shipped before they became presets of one runner.  A dropped
+# or re-defaulted flag fails here even when no run-test would notice.
+SIM_SURFACE = {
+    "serve-sim": {
+        "--input": None, "--nodes": 2000, "--edges": 20000,
+        "--sampler": "cdf", "--walks": 5, "--length": 6,
+        "--bias": "softmax-recency", "--dim": 8, "--w2v-epochs": 2,
+        "--clients": 8, "--requests": 5000, "--topk-fraction": 0.5,
+        "--k": 10, "--max-batch-size": 64, "--max-delay-ms": 2.0,
+        "--cache-size": 4096, "--shards": 1, "--shard-plan": "hash",
+        "--replicas": 1, "--rebalance-every": 0.0, "--kill-replica": None,
+        "--index": "exact", "--nlist": None, "--nprobe": 8,
+        "--ann-recall-every": 100, "--autoscale": False,
+        "--health-period": 0.1, "--max-respawns": 5,
+        "--skew-threshold": 3.0, "--skew-observations": 3,
+        "--rebalance-cooldown": 5.0, "--update-batches": 0,
+        "--update-interval": 0.05, "--metrics-out": None,
+        "--trace-out": None, "--seed": 0,
+    },
+    "stream-sim": {
+        "--wal-dir": None, "--replay-only": False, "--input": None,
+        "--nodes": 2000, "--edges": 20000, "--sampler": "cdf",
+        "--walks": 5, "--length": 6, "--bias": "softmax-recency",
+        "--dim": 8, "--w2v-epochs": 2, "--wal-segment-bytes": 262144,
+        "--no-wal-sync": False, "--backpressure": "block",
+        "--queue-edges": 50000, "--rate-limit": None,
+        "--refresh-policy": "every-n", "--refresh-edges": 1000,
+        "--staleness-seconds": 0.5, "--affected-fraction": 0.1,
+        "--batches": 8, "--batch-interval": 0.02, "--clients": 4,
+        "--requests": 2000, "--topk-fraction": 0.5, "--k": 10,
+        "--max-batch-size": 64, "--max-delay-ms": 2.0,
+        "--cache-size": 4096, "--index": "exact", "--nlist": None,
+        "--nprobe": 8, "--ann-recall-every": 100, "--metrics-out": None,
+        "--trace-out": None, "--seed": 0,
+    },
+    "pipeline-sim": {
+        "--input": None, "--nodes": 1000, "--edges": 10000,
+        "--sampler": "cdf", "--walks": 2, "--length": 4,
+        "--bias": "softmax-recency", "--dim": 8, "--w2v-epochs": 1,
+        "--wal-dir": None, "--queue-edges": 50000, "--refresh-edges": 500,
+        "--batches": 6, "--batch-interval": 0.02, "--shards": 2,
+        "--shard-plan": "hash", "--replicas": 2, "--kill-replica": None,
+        "--clients": 4, "--requests": 1000, "--topk-fraction": 0.5,
+        "--k": 10, "--health-period": 0.1, "--max-respawns": 5,
+        "--skew-threshold": 3.0, "--skew-observations": 3,
+        "--rebalance-cooldown": 5.0, "--metrics-out": None,
+        "--trace-out": None, "--seed": 0,
+    },
+}
+
+
+class TestSimPresets:
+    """serve-sim, stream-sim and pipeline-sim share one runner."""
+
+    SHAPE = ["--walks", "2", "--length", "4", "--dim", "4",
+             "--w2v-epochs", "1", "--seed", "1"]
+
+    @pytest.mark.parametrize("command", SIM_COMMANDS)
+    def test_option_surface_is_pinned(self, command):
+        import argparse
+
+        from repro.cli import build_parser
+
+        subparsers = next(action for action in build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        surface = {action.option_strings[-1]: action.default
+                   for action in subparsers.choices[command]._actions
+                   if not isinstance(action, argparse._HelpAction)}
+        assert surface == SIM_SURFACE[command]
+
+    def test_split_keeps_the_batch_boundaries(self):
+        """Where the old per-command formula stayed inside the stream,
+        the one split helper reproduces its batch boundaries exactly."""
+        from repro.cli import _split_stream
+        from repro.graph import generators
+
+        ordered = generators.erdos_renyi_temporal(
+            50, 999, seed=3).sorted_by_time()
+        for total in (40, 57, 100, 999):
+            stream = ordered.take(np.arange(total))
+            for batches in (1, 2, 3, 6, 8):
+                for holdback, keep in ((0.3, 0.7), (0.4, 0.6)):
+                    cut = int(keep * total)
+                    step = max(1, (total - cut) // batches)
+                    assert cut + (batches - 1) * step < total
+                    expected = [
+                        (cut + i * step,
+                         cut + (i + 1) * step if i < batches - 1 else total)
+                        for i in range(batches)
+                    ]
+                    initial, live = _split_stream(stream, holdback, batches)
+                    assert len(initial) == cut
+                    bounds = np.cumsum([cut] + [len(b) for b in live])
+                    assert list(zip(bounds[:-1], bounds[1:])) == expected
+                    np.testing.assert_array_equal(
+                        np.concatenate([initial.timestamps]
+                                       + [b.timestamps for b in live]),
+                        stream.timestamps)
+
+    def test_split_stops_at_the_end_of_the_stream(self):
+        from repro.cli import _split_stream
+        from repro.graph import generators
+
+        stream = generators.erdos_renyi_temporal(
+            50, 100, seed=1).sorted_by_time()
+        initial, live = _split_stream(stream, 0.4, 60)
+        assert len(initial) == 60
+        assert [len(batch) for batch in live] == [1] * 40
+        assert _split_stream(stream, 0.4, 0) == (stream, [])
+
+    @pytest.mark.parametrize("command, extra", [
+        ("serve-sim", ["--update-batches", "50", "--update-interval", "0"]),
+        ("stream-sim", ["--batches", "60", "--batch-interval", "0"]),
+        ("pipeline-sim", ["--batches", "60", "--batch-interval", "0",
+                          "--health-period", "0.05"]),
+    ])
+    def test_more_batches_than_held_edges(self, command, extra, tmp_path,
+                                          capsys):
+        import json
+
+        from repro.graph import generators
+
+        metrics = tmp_path / "metrics.json"
+        wal = ["--wal-dir", str(tmp_path / "wal")]
+        code = main([command, "--nodes", "50", "--edges", "100",
+                     "--requests", "100", "--clients", "2", *extra,
+                     *(wal if command == "stream-sim" else []),
+                     "--metrics-out", str(metrics), *self.SHAPE])
+        assert code == 0
+        total = len(generators.erdos_renyi_temporal(50, 100, seed=1))
+        keep = 0.7 if command == "serve-sim" else 0.6
+        counters = json.loads(metrics.read_text())["counters"]
+        assert counters["stream.controller.edges"] == total - int(keep * total)
+
+    @pytest.mark.parametrize("flag", [
+        ["--autoscale"],
+        ["--kill-replica", "0:0:0.01"],
+        ["--replicas", "3"],
+        ["--rebalance-every", "0.01"],
+    ])
+    def test_sharded_only_flags_rejected_at_one_shard(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve-sim", "--shards", "1", "--nodes", "50",
+                  "--edges", "100", "--requests", "10", *flag, *self.SHAPE])
+        assert flag[0] in str(excinfo.value.code)
+        assert "--shards > 1" in str(excinfo.value.code)
