@@ -12,8 +12,7 @@ aggregate QPS, client-side latency percentiles, and the router-side
 
 Gate: 4 shards must deliver >= 2x the aggregate top-k QPS of the
 1-shard configuration — enforced when the host has >= 4 cores to run
-the workers on.  As with ``bench_parallel_scaling``, speedup on this
-host is bounded by its core count, so the JSON record carries
+the workers on.  Speedup on this host is bounded by its core count, so the JSON record carries
 ``cpu_count`` to tell "the tier does not scale" apart from "the
 machine has one core"; the fan-out correctness invariants (zero
 errors, zero degraded gathers, full fan-in at every shard count) are

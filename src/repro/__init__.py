@@ -23,10 +23,13 @@ Package map:
 - :mod:`repro.nn` — the FNN substrate (layers, losses, SGD, metrics);
 - :mod:`repro.tasks` — data preparation, the downstream tasks, and the
   end-to-end :class:`Pipeline`;
-- :mod:`repro.parallel` — multiprocess execution of the walk and
-  word2vec phases (``PipelineConfig(workers=N)``);
+- :mod:`repro.serving` — the online serving tier (versioned store,
+  micro-batching, top-k, the multiprocess sharded tier);
+- :mod:`repro.stream` — durable streaming ingest (WAL, queue,
+  controller);
 - :mod:`repro.hwmodel` — instruction/cache/GPU/thread models for the
-  hardware study;
+  hardware study; Fig. 10's thread scaling is simulated here, since
+  walks and word2vec run in one process;
 - :mod:`repro.baselines` — BFS, VGG, GCN, static DeepWalk comparisons.
 """
 

@@ -109,11 +109,11 @@ def _json_safe(value: Any) -> Any:
 def rng_snapshot(rng: np.random.Generator) -> dict:
     """JSON-serializable snapshot of a Generator's full restart state.
 
-    ``bit_generator.state`` alone is not enough: parallel components
-    derive worker seeds via ``SeedSequence.spawn``, whose child counter
-    lives on the seed sequence, not the bit generator.  The snapshot
-    captures both so :func:`rng_restore` reproduces future draws *and*
-    future spawns exactly.
+    ``bit_generator.state`` alone is not enough: child seeds derived via
+    ``SeedSequence.spawn`` advance a counter that lives on the seed
+    sequence, not the bit generator.  The snapshot captures both so
+    :func:`rng_restore` reproduces future draws *and* future spawns
+    exactly.
     """
     bg = rng.bit_generator
     try:
@@ -170,9 +170,8 @@ def rng_restore(snapshot: Mapping[str, Any]) -> np.random.Generator:
 
 #: PipelineConfig fields that cannot change results and therefore must
 #: not change the run key: where checkpoints live, whether we resume,
-#: the supervision policy (retries/timeouts are recovery mechanics with
-#: bit-identical outcomes), and any injected fault plan.
-NON_SEMANTIC_FIELDS = ("checkpoint_dir", "resume", "supervisor", "faults")
+#: and any injected fault plan.
+NON_SEMANTIC_FIELDS = ("checkpoint_dir", "resume", "faults")
 
 
 def config_fingerprint(config: Any) -> str:

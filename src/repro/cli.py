@@ -63,7 +63,6 @@ from repro.graph import (
 )
 from repro.graph.io import LabeledTemporalDataset, read_wel, write_wel
 from repro.observability import Recorder, get_recorder, use_recorder
-from repro.parallel import SupervisorConfig
 from repro.stream.wal import DEFAULT_SEGMENT_MAX_BYTES
 from repro.tasks.link_prediction import LinkPredictionConfig
 from repro.tasks.node_classification import NodeClassificationConfig
@@ -122,24 +121,13 @@ def _add_pipeline_arguments(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--directed", action="store_true",
                        help="walk the directed stream (default mirrors "
                             "each edge)")
-    group.add_argument("--workers", type=int, default=1,
-                       help="worker processes for the walk and word2vec "
-                            "phases (1 = serial)")
-    fault = parser.add_argument_group(
-        "fault tolerance and resumability"
-    )
+    fault = parser.add_argument_group("checkpoint and resume")
     fault.add_argument("--checkpoint-dir", default=None,
                        help="persist each phase's artifact here (atomic, "
                             "keyed by config fingerprint + seed)")
     fault.add_argument("--resume", action="store_true",
                        help="load completed phases from --checkpoint-dir "
                             "instead of recomputing them")
-    fault.add_argument("--shard-timeout", type=float, default=None,
-                       help="wall-clock seconds per worker shard attempt "
-                            "(default: no timeout)")
-    fault.add_argument("--max-retries", type=int, default=2,
-                       help="retries per failed worker shard before "
-                            "degrading to in-process execution")
     _add_observability_arguments(parser)
     parser.add_argument("--seed", type=int, default=0)
 
@@ -184,13 +172,8 @@ def _pipeline_from_args(args: argparse.Namespace) -> Pipeline:
         batch_sentences=args.batch_sentences,
         sampler=args.sampler,
         treat_undirected=not args.directed,
-        workers=args.workers,
         link_prediction=LinkPredictionConfig(training=training),
         node_classification=NodeClassificationConfig(training=training),
-        supervisor=SupervisorConfig(
-            shard_timeout=args.shard_timeout,
-            max_retries=args.max_retries,
-        ),
         checkpoint_dir=args.checkpoint_dir,
         resume=args.resume,
     )
@@ -332,7 +315,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
 
     with _observability(args):
         engine = make_walk_engine(graph, sampler=args.sampler)
-        with get_recorder().span("rwalk", workers=1):
+        with get_recorder().span("rwalk"):
             corpus = engine.run(
                 WalkConfig(num_walks_per_node=args.walks,
                            max_walk_length=args.length, bias=args.bias,
@@ -343,7 +326,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
         sgns = SgnsConfig(dim=args.dim, epochs=1)
         trainer = BatchedSgnsTrainer(sgns,
                                      batch_sentences=args.batch_sentences)
-        with get_recorder().span("word2vec", workers=1):
+        with get_recorder().span("word2vec"):
             trainer.train(corpus, graph.num_nodes, seed=args.seed + 1)
         w2v_stats = trainer.last_stats
     dims = [(2 * args.dim, 32), (32, 1)]

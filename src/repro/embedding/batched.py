@@ -99,20 +99,14 @@ class BatchedSgnsTrainer:
         vocab: Vocabulary,
         model: Model,
         rng: np.random.Generator,
-        epochs: int | None = None,
-        lr_window: tuple[float, float] = (0.0, 1.0),
     ) -> TrainerStats:
         """Train ``model`` in place over ``sentences``; returns the stats.
 
         ``vocab`` supplies the negative-sampling and subsampling
-        distributions.  ``epochs`` defaults to the config's, and
-        ``lr_window`` is the slice of the linear learning-rate schedule
-        these batches sweep — a data-parallel shard trains one epoch's
-        slice of the global schedule.  Publishing is left to the caller,
-        so shards of one run are counted once.
+        distributions.  The stats are returned, not published;
+        :meth:`train` publishes them.
         """
         cfg = self.config
-        epochs = cfg.epochs if epochs is None else epochs
         sampler = (NegativeSampler(vocab)
                    if self.objective == "negative-sampling" else None)
         keep = (
@@ -122,14 +116,14 @@ class BatchedSgnsTrainer:
         )
         pair_fp_ops = model.pair_fp_ops(cfg)
         size = self.batch_sentences
-        total_batches = epochs * max(1, -(-len(sentences) // size))
+        total_batches = cfg.epochs * max(1, -(-len(sentences) // size))
         rec = get_recorder()
         track = rec.enabled
         stats = TrainerStats()
         loss_sum = 0.0
         batch_index = 0
         start = time.perf_counter()
-        for epoch in range(epochs):
+        for epoch in range(cfg.epochs):
             with rec.span("sgns_epoch", epoch=epoch, trainer="batched"):
                 for base in range(0, len(sentences), size):
                     batch = sentences[base: base + size]
@@ -151,7 +145,7 @@ class BatchedSgnsTrainer:
                     # Every visited batch advances the schedule, so the
                     # decay reaches its floor however much subsampling
                     # drops.
-                    lr = self._lr(batch_index, total_batches, lr_window)
+                    lr = self._lr(batch_index, total_batches)
                     batch_index += 1
                     stats.sentences += len(batch)
                     if not centers_parts:
@@ -177,15 +171,9 @@ class BatchedSgnsTrainer:
         stats.mean_loss = loss_sum / max(1, stats.pairs_trained)
         return stats
 
-    def _lr(
-        self,
-        batch_index: int,
-        total_batches: int,
-        window: tuple[float, float] = (0.0, 1.0),
-    ) -> float:
-        """Linear decay across ``window`` of the schedule, floored."""
+    def _lr(self, batch_index: int, total_batches: int) -> float:
+        """Linear decay over the whole schedule, floored."""
         cfg = self.config
-        lo, hi = window
-        frac = lo + (batch_index / total_batches) * (hi - lo)
+        frac = batch_index / total_batches
         return max(cfg.min_learning_rate,
                    cfg.learning_rate * (1.0 - min(1.0, frac)))

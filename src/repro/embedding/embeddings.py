@@ -100,9 +100,6 @@ def train_embeddings(
     batch_sentences: int = 1024,
     seed: SeedLike = None,
     objective: str = "negative-sampling",
-    workers: int = 1,
-    supervisor=None,
-    fault_plan=None,
 ) -> tuple[NodeEmbeddings, TrainerStats]:
     """Train node embeddings from a walk corpus (pipeline phase RW-P2).
 
@@ -110,24 +107,10 @@ def train_embeddings(
     default 1024 is well inside Fig. 5's no-accuracy-loss regime; 1 is
     sentence-at-a-time).  ``objective`` is ``negative-sampling`` (the
     paper's) or ``hierarchical-softmax`` (word2vec's alternative output
-    layer).  ``workers > 1`` trains data-parallel across that many
-    processes with per-epoch parameter averaging
-    (:class:`repro.parallel.ParallelSgnsTrainer`); ``workers=1`` is the
-    serial path.  ``supervisor`` and ``fault_plan`` configure worker
-    supervision and fault injection for the parallel path (see
-    :mod:`repro.parallel.supervisor` and :mod:`repro.faults`).  Returns
-    the embeddings and the trainer's work statistics.
+    layer).  Returns the embeddings and the trainer's work statistics.
     """
     config = config or SgnsConfig()
-    if workers == 1:
-        trainer = BatchedSgnsTrainer(config, batch_sentences, objective)
-    else:
-        from repro.parallel.sgns import ParallelSgnsTrainer
-
-        trainer = ParallelSgnsTrainer(
-            config, workers=workers, batch_sentences=batch_sentences,
-            supervisor=supervisor, fault_plan=fault_plan, objective=objective,
-        )
+    trainer = BatchedSgnsTrainer(config, batch_sentences, objective)
     model = trainer.train(corpus, num_nodes, seed=seed)
     assert trainer.last_stats is not None
     return NodeEmbeddings(model.w_in), trainer.last_stats

@@ -116,9 +116,6 @@ class HuffmanTree:
 class HierarchicalSoftmaxModel:
     """Skip-gram with a hierarchical-softmax output layer."""
 
-    #: The trained matrices (what data-parallel training averages).
-    PARAMETERS = ("w_in", "w_inner")
-
     def __init__(self, counts: np.ndarray, dim: int,
                  seed: SeedLike = None) -> None:
         if dim < 1:

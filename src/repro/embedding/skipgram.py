@@ -79,9 +79,6 @@ def generate_pairs(
 class SkipGramModel:
     """SGNS parameter matrices with batched loss/gradient evaluation."""
 
-    #: The trained matrices (what data-parallel training averages).
-    PARAMETERS = ("w_in", "w_out")
-
     def __init__(self, num_nodes: int, dim: int, seed: SeedLike = None) -> None:
         if num_nodes < 1:
             raise EmbeddingError(f"num_nodes must be >= 1, got {num_nodes}")

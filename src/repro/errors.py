@@ -43,15 +43,6 @@ class PipelineError(ReproError):
     """Raised for invalid end-to-end pipeline configuration."""
 
 
-class WorkerError(ReproError):
-    """Raised when a parallel worker shard fails permanently.
-
-    The supervisor retries failed shards and can degrade to in-process
-    execution; this error means every recovery avenue was exhausted (or
-    disabled) for at least one shard.
-    """
-
-
 class CheckpointError(ReproError):
     """Raised for unreadable, corrupt, or mismatched checkpoint state."""
 

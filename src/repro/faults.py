@@ -1,70 +1,55 @@
-"""Deterministic fault injection for pipeline and worker testing.
+"""Deterministic fault injection for the pipeline, stream and serving tiers.
 
 Fault tolerance is only trustworthy if failures are reproducible on
 demand.  This module provides a small, env/config-driven hook that the
-parallel supervisor (:mod:`repro.parallel.supervisor`) and the pipeline
-(:mod:`repro.tasks.pipeline`) consult at well-defined *sites*:
+batch pipeline (:mod:`repro.tasks.pipeline`), the streaming ingest
+layer (:mod:`repro.stream`) and the serving control plane
+(:mod:`repro.serving.controlplane`) consult at well-defined *sites*:
 
-- worker sites: ``walks`` and ``sgns``, fired once per shard *attempt*
-  inside the worker process, before the shard body runs;
 - pipeline sites: ``after-walks``, ``after-word2vec`` and
   ``after-task``, fired in the driver process right after a phase
   completes (and after its checkpoint, if any, has been written) — the
-  way to simulate a run dying between phases.
+  way to simulate a run dying between phases;
+- stream sites (``stream.*``) and control-plane sites
+  (``controlplane.*``), documented where they are declared below.
 
-A :class:`FaultSpec` selects a site, a fault kind, an optional shard,
-and how many attempts to sabotage.  Because the supervisor retries a
-shard with the *same* seed material, a spec with ``times=1`` makes the
-first attempt fail and the retry succeed with bit-identical output —
-which is exactly what the fault-injection test suite asserts.
+A :class:`FaultSpec` selects a site, a fault kind, an optional shard
+(the batch index or shard id the site passes in), and how many attempts
+to sabotage: a spec fires while the site's ``attempt`` is below
+``times``.
 
 Fault kinds
 -----------
 ``crash``
-    ``os._exit`` with a nonzero code: an abrupt death that skips all
-    cleanup, like the OOM killer.
-``hang``
-    Sleep effectively forever; only a supervisor shard timeout recovers.
-``delay``
-    Sleep ``delay_seconds`` and then continue normally: a straggler,
-    not a failure (unless it trips the shard timeout).
+    ``os._exit`` with :data:`CRASH_EXIT_CODE`: an abrupt death that
+    skips all cleanup, like the OOM killer.
 ``error``
-    Raise :class:`~repro.errors.FaultInjected`: a clean worker
-    exception.
-``corrupt``
-    Let the shard complete, then garble its result payload so the
-    supervisor's integrity check rejects it.
+    Raise :class:`~repro.errors.FaultInjected`: a clean exception.
 
-Plans can be built programmatically (``FaultPlan.parse("walks:crash:0")``)
-or ambient via the ``REPRO_FAULTS`` environment variable, which holds a
-comma-separated list of ``site:kind[:shard[:times[:delay]]]`` specs
-(shard ``*`` matches any shard).
+Plans can be built programmatically
+(``FaultPlan.parse("after-walks:crash")``) or ambient via the
+``REPRO_FAULTS`` environment variable, which holds a comma-separated
+list of ``site:kind[:shard[:times]]`` specs (shard ``*`` matches any
+shard).  An unknown site or kind is rejected when the plan is parsed,
+so a stale ``REPRO_FAULTS`` fails loudly instead of never firing.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass
 
 from repro.errors import FaultInjected, ReproError
 
 ENV_VAR = "REPRO_FAULTS"
 
-#: Exit code used by injected ``crash`` faults (visible in supervisor
-#: failure reports, so tests can tell an injected crash from a real one).
+#: Exit code used by injected ``crash`` faults, so a caller can tell an
+#: injected crash from a real one.
 CRASH_EXIT_CODE = 73
 
-#: ``hang`` sleeps this long; any sane shard timeout fires first.
-_HANG_SECONDS = 6000.0
+KINDS = ("crash", "error")
 
-KINDS = ("crash", "hang", "delay", "error", "corrupt")
-
-WORKER_SITES = ("walks", "sgns")
 PIPELINE_SITES = ("after-walks", "after-word2vec", "after-task")
-#: Default site of :func:`repro.parallel.supervisor.run_supervised` for
-#: callers that don't name one (used by the supervisor's own tests).
-GENERIC_SITES = ("shards",)
 #: Streaming-ingest sites (:mod:`repro.stream`), fired with the batch
 #: index as the shard: ``stream.wal.write`` fires halfway through the
 #: batch's edge records (a crash there leaves a torn segment tail);
@@ -83,8 +68,7 @@ STREAM_SITES = ("stream.wal.write", "stream.wal.fsync",
 #: slot has already burned — ``crash`` there is the crash-loop drill
 #: that must trip the ``max_respawns`` circuit breaker.
 CONTROLPLANE_SITES = ("controlplane.health", "controlplane.respawn")
-SITES = (WORKER_SITES + PIPELINE_SITES + GENERIC_SITES + STREAM_SITES
-         + CONTROLPLANE_SITES)
+SITES = PIPELINE_SITES + STREAM_SITES + CONTROLPLANE_SITES
 
 
 @dataclass(frozen=True)
@@ -95,7 +79,6 @@ class FaultSpec:
     kind: str
     shard: int | None = None
     times: int = 1
-    delay_seconds: float = 1.0
 
     def __post_init__(self) -> None:
         if self.site not in SITES:
@@ -110,10 +93,6 @@ class FaultSpec:
             )
         if self.times < 1:
             raise ReproError(f"fault times must be >= 1, got {self.times}")
-        if self.delay_seconds < 0:
-            raise ReproError(
-                f"fault delay must be >= 0, got {self.delay_seconds}"
-            )
 
     def matches(self, site: str, shard: int, attempt: int) -> bool:
         """True when this spec should fire at (site, shard, attempt)."""
@@ -125,27 +104,23 @@ class FaultSpec:
 
     @classmethod
     def parse(cls, text: str) -> "FaultSpec":
-        """Parse ``site:kind[:shard[:times[:delay]]]`` (shard ``*`` = any)."""
+        """Parse ``site:kind[:shard[:times]]`` (shard ``*`` = any)."""
         parts = text.strip().split(":")
-        if len(parts) < 2:
+        if not 2 <= len(parts) <= 4:
             raise ReproError(
-                f"bad fault spec {text!r}; expected site:kind[:shard[:times[:delay]]]"
+                f"bad fault spec {text!r}; expected site:kind[:shard[:times]]"
             )
         site, kind = parts[0], parts[1]
         shard: int | None = None
         times = 1
-        delay = 1.0
         try:
             if len(parts) > 2 and parts[2] not in ("", "*"):
                 shard = int(parts[2])
             if len(parts) > 3 and parts[3]:
                 times = int(parts[3])
-            if len(parts) > 4 and parts[4]:
-                delay = float(parts[4])
         except ValueError as exc:
             raise ReproError(f"bad fault spec {text!r}: {exc}") from exc
-        return cls(site=site, kind=kind, shard=shard, times=times,
-                   delay_seconds=delay)
+        return cls(site=site, kind=kind, shard=shard, times=times)
 
 
 @dataclass(frozen=True)
@@ -186,28 +161,12 @@ class FaultPlan:
         return None
 
     def fire(self, site: str, shard: int = 0, attempt: int = 0) -> None:
-        """Execute any matching pre-execution fault at this site.
-
-        ``corrupt`` is not handled here — it must garble the *result*,
-        so the supervisor applies it after the shard body returns (see
-        :meth:`should_corrupt`).
-        """
+        """Execute any fault matching (site, shard, attempt)."""
         spec = self.match(site, shard, attempt)
-        if spec is None or spec.kind == "corrupt":
+        if spec is None:
             return
         if spec.kind == "crash":
             os._exit(CRASH_EXIT_CODE)
-        if spec.kind == "hang":
-            time.sleep(_HANG_SECONDS)
-            return
-        if spec.kind == "delay":
-            time.sleep(spec.delay_seconds)
-            return
         raise FaultInjected(
             f"injected fault at site={site} shard={shard} attempt={attempt}"
         )
-
-    def should_corrupt(self, site: str, shard: int = 0, attempt: int = 0) -> bool:
-        """True when a ``corrupt`` spec fires at (site, shard, attempt)."""
-        spec = self.match(site, shard, attempt)
-        return spec is not None and spec.kind == "corrupt"

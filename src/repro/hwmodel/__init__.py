@@ -41,9 +41,6 @@ from repro.hwmodel.report import (
 )
 from repro.hwmodel.threads import (
     ScheduleResult,
-    compare_to_measured,
-    load_measured_curve,
-    model_measured_gap,
     scaling_curve,
     simulate_schedule,
 )
@@ -75,9 +72,6 @@ __all__ = [
     "ScheduleResult",
     "simulate_schedule",
     "scaling_curve",
-    "compare_to_measured",
-    "load_measured_curve",
-    "model_measured_gap",
     "GpuConfig",
     "GpuKernelModel",
     "GpuKernelReport",

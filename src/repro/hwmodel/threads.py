@@ -10,18 +10,14 @@ simulates both policies as a deterministic greedy scheduler over the
 overheads that reproduce the paper's observed scaling knee
 (thread-management cost dominating past ~64 threads).
 
-Since :mod:`repro.parallel` added real multiprocess execution, the
-analytic model is no longer the only source of scaling numbers:
-``benchmarks/bench_parallel_scaling.py`` writes a *measured* curve to
-``bench_results/parallel_scaling.json``, and :func:`load_measured_curve`
-/ :func:`compare_to_measured` line the model up against it.
+This simulator is where the repo's Fig. 10 scaling curves come from:
+the phases themselves run in one process, so the scaling is modeled
+over measured work, not timed on a many-core host.
 """
 
 from __future__ import annotations
 
 import heapq
-import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,82 +136,3 @@ def scaling_curve(
         result = simulate_schedule(work, t, policy=policy, chunk=chunk, costs=costs)
         curve[t] = base / result.makespan
     return curve
-
-
-# ---------------------------------------------------------------------------
-# Measured-vs-modeled validation (repro.parallel closes the loop)
-# ---------------------------------------------------------------------------
-
-
-def load_measured_curve(
-    path: str | os.PathLike, key: str = "walk_speedup"
-) -> dict[int, float]:
-    """Load a measured speedup curve from a bench-results JSON record.
-
-    ``benchmarks/bench_parallel_scaling.py`` writes
-    ``bench_results/parallel_scaling.json`` with speedup-vs-workers
-    mappings under ``walk_speedup`` and ``w2v_speedup``.  Returns
-    ``{workers: speedup}`` with integer keys.
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        record = json.load(handle)
-    if key not in record:
-        raise ModelError(
-            f"{os.fspath(path)}: no {key!r} series; found "
-            f"{sorted(record)}"
-        )
-    return {int(k): float(v) for k, v in record[key].items()}
-
-
-def compare_to_measured(
-    measured: dict[int, float],
-    work: np.ndarray,
-    policy: str = "dynamic",
-    chunk: int = 64,
-    costs: SchedulerCosts = SchedulerCosts(),
-) -> list[dict[str, float]]:
-    """Model-vs-measured rows for every measured worker count.
-
-    ``measured`` maps worker count to measured speedup (wall-clock,
-    from the multiprocess execution layer); the model replays the same
-    per-start-node ``work`` array through :func:`simulate_schedule`.
-    Each row carries ``workers``, ``measured``, ``modeled``, and
-    ``ratio`` (modeled / measured; 1.0 = the analytic model predicts
-    the measured scaling exactly).  Process workers pay fork/IPC
-    overheads the thread model does not, so expect ratios above 1 at
-    high worker counts on small inputs.
-    """
-    if not measured:
-        raise ModelError("measured curve is empty")
-    curve = scaling_curve(
-        work, sorted(measured), policy=policy, chunk=chunk, costs=costs
-    )
-    rows = []
-    for workers in sorted(measured):
-        observed = float(measured[workers])
-        modeled = float(curve[workers])
-        rows.append({
-            "workers": workers,
-            "measured": observed,
-            "modeled": modeled,
-            "ratio": modeled / observed if observed > 0 else float("inf"),
-        })
-    return rows
-
-
-def model_measured_gap(rows: list[dict[str, float]]) -> float:
-    """Mean absolute relative error of the model over comparison rows.
-
-    ``0.0`` means the analytic scheduler predicts every measured point
-    exactly; ``0.5`` means it is off by 50% on average.
-    """
-    if not rows:
-        raise ModelError("no comparison rows")
-    errors = [
-        abs(r["modeled"] - r["measured"]) / r["measured"]
-        for r in rows
-        if r["measured"] > 0
-    ]
-    if not errors:
-        raise ModelError("no rows with positive measured speedup")
-    return float(np.mean(errors))

@@ -3,8 +3,8 @@
 The source paper is a *characterization* study — its headline artifacts
 are per-kernel instruction mixes (Fig. 9), thread-scaling curves
 (Fig. 10), and per-phase time breakdowns (Table III).  This module is
-the single instrumentation substrate those analyses (and the parallel
-supervisor, checkpoint store, and benchmarks) share:
+the single instrumentation substrate those analyses (and the checkpoint
+store, the serving tier, and the benchmarks) share:
 
 - :class:`Recorder` — a process-local registry of **counters** (monotone
   totals: edges scanned, pairs trained, retries), **gauges** (last-value
@@ -26,7 +26,7 @@ supervisor, checkpoint store, and benchmarks) share:
 Components discover the active recorder ambiently: ``get_recorder()``
 returns the installed recorder (a :class:`NullRecorder` unless
 ``set_recorder`` / ``use_recorder`` installed a real one), so the walk
-engine, SGNS trainers, supervisor, and checkpoint store need no
+engine, SGNS trainer, and checkpoint store need no
 recorder plumbing through their signatures.  The CLI exposes
 ``--metrics-out`` / ``--trace-out`` which install a :class:`Recorder`
 around the pipeline run and export both files at exit.
@@ -301,9 +301,8 @@ class Recorder:
                     **attrs: Any) -> Span:
         """Record an already-measured span ending now.
 
-        For events timed outside the span stack — e.g. the supervisor's
-        concurrent shard attempts, which overlap each other and so
-        cannot nest.  The span parents under the currently open span.
+        For events timed outside the span stack — e.g. concurrent
+        attempts that overlap each other and so cannot nest.  The span parents under the currently open span.
         """
         end = self._now()
         span = self._open_span(name, attrs, end - max(0.0, float(seconds)))

@@ -27,12 +27,3 @@ def make_rng(seed: SeedLike = None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn(rng: np.random.Generator, count: int) -> list[np.random.Generator]:
-    """Split ``rng`` into ``count`` independent child generators.
-
-    Used by parallel components (e.g. one stream per simulated thread) so
-    results do not depend on scheduling order.
-    """
-    return [np.random.default_rng(s) for s in rng.bit_generator.seed_seq.spawn(count)]

@@ -17,7 +17,7 @@ across CPU/GPU stages, here spread across shard workers.  Five pieces:
   :class:`~repro.serving.index.RecommendationIndex` (exact, or a
   per-shard :class:`~repro.serving.ann.IvfIndex`) plus an LRU of
   answered sub-queries.  Slices arrive through
-  :class:`~repro.parallel.shared_array.SharedArray` blocks, not the
+  :class:`~repro.serving.shared_array.SharedArray` blocks, not the
   command pipe; sibling replicas attach the same block.
 - :class:`ShardedFrontend` — the router.  ``top_k`` is a
   scatter/gather: fetch the query vector from the owning shard (router
@@ -74,10 +74,9 @@ import numpy as np
 
 from repro.errors import ServingError
 from repro.observability import Recorder, get_recorder, use_recorder
-from repro.parallel.shared_array import SharedArray, SharedArraySpec
-from repro.parallel.supervisor import _mp_context
 from repro.serving.ann import INDEX_CHOICES, IvfConfig, IvfIndex
 from repro.serving.index import METRIC_CHOICES, RecommendationIndex, TopK
+from repro.serving.shared_array import SharedArray, SharedArraySpec, _mp_context
 from repro.serving.store import EmbeddingStore
 
 PLAN_CHOICES = ("hash", "range")
@@ -106,9 +105,8 @@ class ShardPlan:
     ``hash`` mixes each id with the 64-bit golden-ratio multiplier and
     takes the high bits modulo ``num_shards`` — stable per id however
     the node count grows.  ``range`` splits ``[0, num_nodes)`` into
-    contiguous near-equal ranges (the same :func:`numpy.linspace`
-    bounds as :func:`repro.parallel.walks.shard_indices`); ownership is
-    a function of the *current* node count, so a growing store
+    contiguous near-equal ranges (:func:`numpy.linspace` bounds);
+    ownership is a function of the *current* node count, so a growing store
     rebalances naturally at the next publish.  Both sides of the wire
     (publisher and worker) recompute ownership from this same plan, so
     they can never disagree.
@@ -1519,7 +1517,7 @@ class ShardedPublisher:
     """Slices snapshots per shard and installs them version-atomically.
 
     Every publish: slice the matrix by the frontend's current plan,
-    copy each slice into a :class:`~repro.parallel.shared_array
+    copy each slice into a :class:`~repro.serving.shared_array
     .SharedArray` block, install all slices on every live replica under
     one new version, and only after every live worker acked flip the
     router's served version.  Queries are tagged with the version they

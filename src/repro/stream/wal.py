@@ -321,8 +321,7 @@ class WriteAheadLog:
         self._closed = False
         # Per-batch fault attempt counter: a retried append of the same
         # batch fires its injection sites with attempt=1, 2, ... so a
-        # times=1 spec sabotages only the first try (matching the
-        # supervisor's retry semantics).
+        # times=1 spec sabotages only the first try.
         self._attempt_batch = -1
         self._attempt = 0
         self.wal_dir.mkdir(parents=True, exist_ok=True)

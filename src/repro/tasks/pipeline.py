@@ -24,7 +24,6 @@ from repro.graph.csr import TemporalGraph
 from repro.graph.edges import TemporalEdgeList
 from repro.graph.io import LabeledTemporalDataset
 from repro.observability import Recorder, get_recorder, use_recorder
-from repro.parallel.supervisor import SupervisorConfig
 from repro.rng import SeedLike, make_rng
 from repro.tasks.link_prediction import (
     LinkPredictionConfig,
@@ -55,19 +54,6 @@ class PipelineConfig:
     ``batch_sentences`` is the word2vec batch size in sentences (a
     positive int; 1 trains sentence-at-a-time).
 
-    ``workers`` executes phases 1-2 across that many worker processes
-    (:mod:`repro.parallel`): walk-phase start nodes are sharded over a
-    shared-memory CSR graph and word2vec trains data-parallel with
-    per-epoch parameter averaging.  ``workers=1`` (default) is the
-    serial path, bit-identical to previous behavior; ``workers=N`` is
-    deterministic for fixed ``N`` (seeds derive from the root seed via
-    ``SeedSequence.spawn``).
-
-    ``supervisor`` sets the worker timeout/retry/degradation policy
-    (:class:`~repro.parallel.supervisor.SupervisorConfig`); every
-    recovery path yields output bit-identical to an undisturbed run, so
-    supervision knobs never change results, only resilience.
-
     ``checkpoint_dir`` persists each phase's artifact atomically as it
     completes (:mod:`repro.checkpoint`), keyed by the semantic config
     fingerprint and the seed; with ``resume=True`` completed phases are
@@ -82,7 +68,6 @@ class PipelineConfig:
     batch_sentences: int = 1024
     sampler: str = "cdf"
     treat_undirected: bool = False
-    workers: int = 1
     link_prediction: LinkPredictionConfig = field(
         default_factory=LinkPredictionConfig
     )
@@ -90,16 +75,11 @@ class PipelineConfig:
         default_factory=NodeClassificationConfig
     )
     link_property: LinkPropertyConfig = field(default_factory=LinkPropertyConfig)
-    supervisor: SupervisorConfig = field(default_factory=SupervisorConfig)
     checkpoint_dir: str | None = None
     resume: bool = False
     faults: FaultPlan | None = None
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise PipelineError(
-                f"workers must be >= 1, got {self.workers}"
-            )
         if (isinstance(self.batch_sentences, bool)
                 or not isinstance(self.batch_sentences, numbers.Integral)
                 or self.batch_sentences < 1):
@@ -206,7 +186,7 @@ class Pipeline:
 
     ``recorder`` installs a :class:`~repro.observability.Recorder` as
     the ambient recorder for the duration of each run, so every layer
-    (walk engine, trainers, supervisor, checkpoints, tasks) reports into
+    (walk engine, trainer, checkpoints, tasks) reports into
     it; with ``None`` the pipeline observes whatever recorder is already
     ambient (the free :class:`~repro.observability.NullRecorder` by
     default).
@@ -253,12 +233,9 @@ class Pipeline:
         """Phases 1-2: walks and word2vec.
 
         Exposed separately so sweeps (Fig. 8) can reuse embeddings across
-        classifier configurations.  With ``config.workers > 1`` both
-        phases execute across worker processes (:mod:`repro.parallel`);
-        ``workers=1`` keeps the serial code path bit-for-bit.  With
-        ``config.checkpoint_dir`` set, phase artifacts are persisted as
-        they complete (and loaded instead of recomputed under
-        ``resume=True``).
+        classifier configurations.  With ``config.checkpoint_dir`` set,
+        phase artifacts are persisted as they complete (and loaded
+        instead of recomputed under ``resume=True``).
         """
         with self._observe():
             rng = make_rng(seed)
@@ -291,7 +268,7 @@ class Pipeline:
         rec = get_recorder()
 
         timings = PhaseTimings()
-        with rec.span("rwalk", workers=cfg.workers) as span:
+        with rec.span("rwalk") as span:
             if resume and store.has("walks"):
                 corpus, walk_stats = store.load_walks()
                 rng = store.load_rng("walks")
@@ -299,25 +276,16 @@ class Pipeline:
                 span.annotate(cached=True)
             else:
                 span.annotate(cached=False)
-                if cfg.workers > 1:
-                    from repro.parallel import run_parallel_walks
-
-                    corpus, walk_stats = run_parallel_walks(
-                        graph, cfg.walk, workers=cfg.workers, seed=rng,
-                        sampler=cfg.sampler, supervisor=cfg.supervisor,
-                        fault_plan=plan,
-                    )
-                else:
-                    engine = make_walk_engine(graph, sampler=cfg.sampler)
-                    corpus = engine.run(cfg.walk, seed=rng)
-                    assert engine.last_stats is not None
-                    walk_stats = engine.last_stats
+                engine = make_walk_engine(graph, sampler=cfg.sampler)
+                corpus = engine.run(cfg.walk, seed=rng)
+                assert engine.last_stats is not None
+                walk_stats = engine.last_stats
                 if store is not None:
                     store.save_walks(corpus, walk_stats, rng=rng)
                 plan.fire("after-walks")
         timings.rwalk = span.duration
 
-        with rec.span("word2vec", workers=cfg.workers) as span:
+        with rec.span("word2vec") as span:
             if resume and store.has("embeddings"):
                 embeddings, trainer_stats = store.load_embeddings()
                 rng = store.load_rng("embeddings")
@@ -331,9 +299,6 @@ class Pipeline:
                     config=cfg.sgns,
                     batch_sentences=cfg.batch_sentences,
                     seed=rng,
-                    workers=cfg.workers,
-                    supervisor=cfg.supervisor,
-                    fault_plan=plan,
                 )
                 if store is not None:
                     store.save_embeddings(embeddings, trainer_stats, rng=rng)

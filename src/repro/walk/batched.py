@@ -114,9 +114,8 @@ def make_walk_engine(
 
     ``cdf`` and ``gumbel`` return the oracle :class:`TemporalWalkEngine`;
     ``batched`` returns the frontier-batched window-table kernel.  This is
-    the single selection point the CLI, the parallel shard workers, the
-    pipeline, and :class:`~repro.tasks.incremental.IncrementalEmbedder`
-    all go through.
+    the single selection point the CLI, the pipeline, and
+    :class:`~repro.tasks.incremental.IncrementalEmbedder` all go through.
     """
     if sampler not in KERNEL_CHOICES:
         raise WalkError(

@@ -107,9 +107,9 @@ def publish_walk_stats(stats: WalkStats,
                        recorder: Recorder | None = None) -> None:
     """Flush one run's work counters into the (ambient) recorder.
 
-    Called once per engine run (and once per merged parallel run), so
-    the recorder cost is independent of walk count; a
-    :class:`~repro.observability.NullRecorder` makes this free.
+    Called once per engine run, so the recorder cost is independent of
+    walk count; a :class:`~repro.observability.NullRecorder` makes this
+    free.
     """
     rec = recorder if recorder is not None else get_recorder()
     if not rec.enabled:

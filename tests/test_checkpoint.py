@@ -21,6 +21,7 @@ from repro.checkpoint import (
 )
 from repro.embedding.trainer import SgnsConfig
 from repro.errors import CheckpointError, PipelineError
+from repro.faults import FaultPlan
 from repro.nn.layers import Linear, ReLU
 from repro.nn.module import Sequential
 from repro.tasks.link_prediction import LinkPredictionConfig
@@ -105,12 +106,11 @@ def test_rng_snapshot_json_roundtrip_non_default_bit_generators(
 
 
 def test_fingerprint_ignores_non_semantic_fields(tmp_path):
-    from repro.parallel import SupervisorConfig
-
     base = small_pipeline_config()
     decorated = small_pipeline_config(
         checkpoint_dir=str(tmp_path),
-        supervisor=SupervisorConfig(shard_timeout=1.0, max_retries=5),
+        resume=True,
+        faults=FaultPlan.parse("after-task:error"),
     )
     assert config_fingerprint(base) == config_fingerprint(decorated)
 
@@ -448,19 +448,3 @@ def test_task_phase_checkpoints_splits_and_classifier(tmp_path, email_edges):
     for param, expected in zip(restored.parameters(),
                                result.task_result.model.parameters()):
         np.testing.assert_array_equal(param.data, expected.data)
-
-
-def test_parallel_run_resume_bit_identical(tmp_path, email_edges):
-    """workers=2 checkpoints and resumes exactly like the serial path."""
-    cfg = small_pipeline_config(workers=2, checkpoint_dir=str(tmp_path))
-    first = Pipeline(cfg).run_link_prediction(email_edges, seed=5)
-    resumed = Pipeline(
-        small_pipeline_config(workers=2, checkpoint_dir=str(tmp_path),
-                              resume=True)
-    ).run_link_prediction(email_edges, seed=5)
-    assert resumed.cached_phases == (
-        "walks", "embeddings", "task-link-prediction"
-    )
-    assert resumed.accuracy == first.accuracy
-    np.testing.assert_array_equal(resumed.embeddings.matrix,
-                                  first.embeddings.matrix)

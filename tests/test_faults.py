@@ -1,43 +1,21 @@
-"""Fault injection: supervised recovery is bit-identical, leak-free.
+"""Fault injection: spec parsing, site registry, and crash-then-resume.
 
-The tentpole guarantee under test: a walk or word2vec run whose workers
-crash, hang, straggle, or return corrupted payloads recovers through
-the supervisor (:mod:`repro.parallel.supervisor`) and produces output
-bit-identical to an undisturbed run with the same seed — and no
-shared-memory segment ever leaks, whatever the failure path.
+Pipeline sites fire in the driver between phases; a run killed there
+must resume from its checkpoints to the same result as an undisturbed
+run.  Stream and control-plane sites are exercised by their own suites
+(``test_stream_recovery.py``, ``test_serving_controlplane.py``).
 """
 
 from __future__ import annotations
 
 import re
-from pathlib import Path
 
-import numpy as np
 import pytest
 
-from repro.embedding.trainer import SgnsConfig
-from repro.errors import FaultInjected, ReproError, WorkerError
+from repro.errors import FaultInjected, ReproError
 from repro.faults import ENV_VAR, FaultPlan, FaultSpec
-from repro.parallel import SupervisorConfig, run_parallel_walks, run_supervised
-from repro.parallel.sgns import ParallelSgnsTrainer
-from repro.parallel.shared_graph import SharedCsrGraph
-from repro.tasks.link_prediction import LinkPredictionConfig
-from repro.tasks.pipeline import Pipeline, PipelineConfig
-from repro.tasks.training import TrainSettings
-from repro.walk.config import WalkConfig
 
 pytestmark = pytest.mark.faults
-
-SMALL_WALK = WalkConfig(num_walks_per_node=2, max_walk_length=4)
-
-
-def shm_entries() -> set[str]:
-    """Names of live POSIX shared-memory segments (this machine's)."""
-    shm = Path("/dev/shm")
-    if not shm.exists():
-        pytest.skip("no /dev/shm on this platform")
-    return {entry.name for entry in shm.iterdir()
-            if entry.name.startswith("psm_")}
 
 
 # ---------------------------------------------------------------------------
@@ -46,25 +24,29 @@ def shm_entries() -> set[str]:
 
 
 def test_fault_spec_parse_full():
-    spec = FaultSpec.parse("sgns:delay:*:2:0.5")
-    assert spec == FaultSpec(site="sgns", kind="delay", shard=None,
-                             times=2, delay_seconds=0.5)
+    spec = FaultSpec.parse("stream.wal.write:crash:*:2")
+    assert spec == FaultSpec(site="stream.wal.write", kind="crash",
+                             shard=None, times=2)
 
 
 def test_fault_spec_parse_shard():
-    spec = FaultSpec.parse("walks:crash:1")
-    assert spec.site == "walks" and spec.kind == "crash" and spec.shard == 1
+    spec = FaultSpec.parse("stream.wal.fsync:crash:1")
+    assert spec.site == "stream.wal.fsync" and spec.kind == "crash"
+    assert spec.shard == 1
     assert spec.times == 1
 
 
 @pytest.mark.parametrize("text", [
-    "walks",                 # no kind
-    "walks:explode",         # unknown kind
-    "walk:crash",            # typo'd site would otherwise never fire
-    "after-sgns:error",      # unknown pipeline site
-    "walks:crash:x",         # non-integer shard
-    "walks:crash:0:0",       # times < 1
-    "walks:delay:0:1:-2",    # negative delay
+    "after-walks",               # no kind
+    "after-walks:explode",       # unknown kind
+    "walk:crash",                # typo'd site would otherwise never fire
+    "after-sgns:error",          # unknown pipeline site
+    "after-walks:crash:x",       # non-integer shard
+    "after-walks:crash:0:0",     # times < 1
+    "after-walks:crash:0:1:2",   # a fifth field
+    "walks:crash",               # stale sites and kinds from an old
+    "sgns:error",                # REPRO_FAULTS must fail loudly
+    "stream.wal.write:corrupt",
 ])
 def test_fault_spec_parse_rejects_bad_specs(text):
     with pytest.raises(ReproError):
@@ -72,19 +54,20 @@ def test_fault_spec_parse_rejects_bad_specs(text):
 
 
 def test_fault_plan_parse_and_match():
-    plan = FaultPlan.parse("walks:crash:0, sgns:error:*:2")
+    plan = FaultPlan.parse(
+        "stream.wal.write:crash:0, stream.wal.fsync:error:*:2")
     assert plan
-    assert plan.match("walks", shard=0, attempt=0) is not None
-    assert plan.match("walks", shard=1, attempt=0) is None
-    assert plan.match("walks", shard=0, attempt=1) is None  # times=1
-    assert plan.match("sgns", shard=3, attempt=1) is not None
-    assert plan.match("sgns", shard=3, attempt=2) is None
+    assert plan.match("stream.wal.write", shard=0, attempt=0) is not None
+    assert plan.match("stream.wal.write", shard=1, attempt=0) is None
+    assert plan.match("stream.wal.write", shard=0, attempt=1) is None
+    assert plan.match("stream.wal.fsync", shard=3, attempt=1) is not None
+    assert plan.match("stream.wal.fsync", shard=3, attempt=2) is None
 
 
 def test_fault_plan_from_env():
     assert not FaultPlan.from_env(environ={})
-    plan = FaultPlan.from_env(environ={ENV_VAR: "walks:hang"})
-    assert plan.specs == (FaultSpec(site="walks", kind="hang"),)
+    plan = FaultPlan.from_env(environ={ENV_VAR: "after-task:crash"})
+    assert plan.specs == (FaultSpec(site="after-task", kind="crash"),)
 
 
 def test_fault_plan_fire_error():
@@ -106,277 +89,6 @@ def test_controlplane_sites_registered():
     assert plan.match("controlplane.respawn", shard=1, attempt=0) is None
     with pytest.raises(ReproError):
         FaultSpec.parse("controlplane.respwan:crash")  # typo'd site
-
-
-# ---------------------------------------------------------------------------
-# run_supervised unit behavior (module-level fns so workers can run them)
-# ---------------------------------------------------------------------------
-
-
-def _square(value):
-    return value * value
-
-
-def test_run_supervised_plain_success():
-    results, reports = run_supervised(
-        _square, [(i,) for i in range(5)], workers=2,
-        fault_plan=FaultPlan(),
-    )
-    assert results == [0, 1, 4, 9, 16]
-    assert [r.outcome for r in reports] == ["ok"] * 5
-    assert all(r.attempts == 1 for r in reports)
-
-
-@pytest.mark.parametrize("kind", ["crash", "error", "corrupt"])
-def test_run_supervised_retries_one_shot_faults(kind):
-    plan = FaultPlan.parse(f"shards:{kind}:2:1")
-    results, reports = run_supervised(
-        _square, [(i,) for i in range(4)], workers=2, fault_plan=plan,
-    )
-    assert results == [0, 1, 4, 9]
-    assert reports[2].outcome == "ok"
-    assert reports[2].attempts == 2
-    assert len(reports[2].failures) == 1
-    assert all(reports[i].attempts == 1 for i in (0, 1, 3))
-
-
-def test_run_supervised_timeout_recovers_hang():
-    plan = FaultPlan.parse("shards:hang:1:1")
-    sup = SupervisorConfig(shard_timeout=1.0)
-    results, reports = run_supervised(
-        _square, [(i,) for i in range(3)], workers=3,
-        supervisor=sup, fault_plan=plan,
-    )
-    assert results == [0, 1, 4]
-    assert reports[1].attempts == 2
-    assert "timed out" in reports[1].failures[0]
-
-
-def test_run_supervised_degrades_to_serial():
-    plan = FaultPlan.parse("shards:crash:1:99")  # never stops crashing
-    sup = SupervisorConfig(max_retries=1)
-    results, reports = run_supervised(
-        _square, [(i,) for i in range(3)], workers=2,
-        supervisor=sup, serial_fn=_square, fault_plan=plan,
-    )
-    assert results == [0, 1, 4]
-    assert reports[1].outcome == "degraded"
-    assert reports[1].attempts == 2  # initial + 1 retry, then in-process
-
-
-def test_run_supervised_raises_without_fallback():
-    plan = FaultPlan.parse("shards:crash:0:99")
-    sup = SupervisorConfig(max_retries=0, fallback_serial=False)
-    with pytest.raises(WorkerError, match="failed permanently"):
-        run_supervised(
-            _square, [(0,), (1,)], workers=2,
-            supervisor=sup, serial_fn=_square, fault_plan=plan,
-        )
-
-
-def test_run_supervised_reports_clean_exceptions():
-    plan = FaultPlan.parse("shards:error:0:1")
-    results, reports = run_supervised(
-        _square, [(2,)], workers=1, fault_plan=plan,
-    )
-    assert results == [4]
-    assert "FaultInjected" in reports[0].failures[0]
-
-
-def test_supervisor_config_validation():
-    with pytest.raises(WorkerError):
-        SupervisorConfig(max_retries=-1)
-    with pytest.raises(WorkerError):
-        SupervisorConfig(shard_timeout=0.0)
-
-
-# ---------------------------------------------------------------------------
-# Walk-phase recovery: bit-identical corpora, no leaked segments
-# ---------------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def clean_parallel_walks(email_graph):
-    corpus, stats = run_parallel_walks(
-        email_graph, SMALL_WALK, workers=2, seed=5,
-        fault_plan=FaultPlan(),
-    )
-    return corpus, stats
-
-
-@pytest.mark.parametrize("spec", [
-    "walks:crash:0:1",
-    "walks:crash:*:1",
-    "walks:error:1:1",
-    "walks:corrupt:0:1",
-    "walks:delay:1:1:0.2",
-])
-def test_walk_recovery_bit_identical(email_graph, clean_parallel_walks, spec):
-    before = shm_entries()
-    corpus, stats = run_parallel_walks(
-        email_graph, SMALL_WALK, workers=2, seed=5,
-        fault_plan=FaultPlan.parse(spec),
-    )
-    clean_corpus, clean_stats = clean_parallel_walks
-    np.testing.assert_array_equal(corpus.matrix, clean_corpus.matrix)
-    np.testing.assert_array_equal(corpus.lengths, clean_corpus.lengths)
-    assert stats.total_steps == clean_stats.total_steps
-    assert stats.candidates_scanned == clean_stats.candidates_scanned
-    assert shm_entries() <= before
-
-
-def test_walk_hung_worker_recovered_by_timeout(email_graph,
-                                               clean_parallel_walks):
-    before = shm_entries()
-    reports = []
-    corpus, _ = run_parallel_walks(
-        email_graph, SMALL_WALK, workers=2, seed=5,
-        supervisor=SupervisorConfig(shard_timeout=1.5),
-        fault_plan=FaultPlan.parse("walks:hang:1:1"),
-        shard_reports=reports,
-    )
-    np.testing.assert_array_equal(corpus.matrix,
-                                  clean_parallel_walks[0].matrix)
-    assert reports[1].attempts == 2
-    assert "timed out" in reports[1].failures[0]
-    assert shm_entries() <= before
-
-
-def test_walk_degraded_shard_still_bit_identical(email_graph,
-                                                 clean_parallel_walks):
-    """A shard that never survives a worker runs in-process, same bits."""
-    before = shm_entries()
-    reports = []
-    corpus, stats = run_parallel_walks(
-        email_graph, SMALL_WALK, workers=2, seed=5,
-        supervisor=SupervisorConfig(max_retries=1),
-        fault_plan=FaultPlan.parse("walks:crash:0:99"),
-        shard_reports=reports,
-    )
-    clean_corpus, clean_stats = clean_parallel_walks
-    np.testing.assert_array_equal(corpus.matrix, clean_corpus.matrix)
-    assert stats.total_steps == clean_stats.total_steps
-    assert reports[0].outcome == "degraded"
-    assert reports[1].outcome == "ok"
-    assert shm_entries() <= before
-
-
-def test_walk_worker_error_without_fallback_raises(email_graph):
-    before = shm_entries()
-    with pytest.raises(WorkerError, match="failed permanently"):
-        run_parallel_walks(
-            email_graph, SMALL_WALK, workers=2, seed=5,
-            supervisor=SupervisorConfig(max_retries=0,
-                                        fallback_serial=False),
-            fault_plan=FaultPlan.parse("walks:crash:*:99"),
-        )
-    assert shm_entries() <= before
-
-
-# ---------------------------------------------------------------------------
-# Shared-memory leak hygiene
-# ---------------------------------------------------------------------------
-
-
-class _ExplodingGraph:
-    """Graph stand-in whose ``ts`` access fails mid-copy."""
-
-    def __init__(self, graph):
-        self.num_nodes = graph.num_nodes
-        self.num_edges = graph.num_edges
-        self.indptr = graph.indptr
-        self.dst = graph.dst
-
-    @property
-    def ts(self):
-        raise RuntimeError("disk fell off")
-
-
-def test_shared_graph_create_failure_unlinks_segment(email_graph):
-    before = shm_entries()
-    with pytest.raises(RuntimeError, match="disk fell off"):
-        SharedCsrGraph.create(_ExplodingGraph(email_graph))
-    assert shm_entries() <= before
-
-
-def test_shared_graph_close_unlinks(email_graph):
-    before = shm_entries()
-    shared = SharedCsrGraph.create(email_graph)
-    name = shared.spec.block_name
-    assert name.lstrip("/") in shm_entries()
-    shared.close()
-    assert name.lstrip("/") not in shm_entries()
-    assert shm_entries() <= before
-
-
-# ---------------------------------------------------------------------------
-# SGNS-phase recovery
-# ---------------------------------------------------------------------------
-
-
-def test_sgns_shard_crash_recovery_bit_identical(email_corpus, email_graph):
-    config = SgnsConfig(dim=4, epochs=2)
-    clean = ParallelSgnsTrainer(
-        config, workers=2, fault_plan=FaultPlan(),
-    ).train(email_corpus, email_graph.num_nodes, seed=3)
-    faulted_trainer = ParallelSgnsTrainer(
-        config, workers=2, fault_plan=FaultPlan.parse("sgns:crash:1:1"),
-    )
-    faulted = faulted_trainer.train(email_corpus, email_graph.num_nodes,
-                                    seed=3)
-    np.testing.assert_array_equal(faulted.w_in, clean.w_in)
-    np.testing.assert_array_equal(faulted.w_out, clean.w_out)
-    crashed = [r for r in faulted_trainer.last_shard_reports
-               if r.attempts > 1]
-    assert crashed, "the injected crash should have forced a retry"
-
-
-# ---------------------------------------------------------------------------
-# End-to-end acceptance: faulted pipeline == clean pipeline
-# ---------------------------------------------------------------------------
-
-
-def _small_config(**overrides) -> PipelineConfig:
-    settings = dict(
-        walk=SMALL_WALK,
-        sgns=SgnsConfig(dim=4, epochs=1),
-        workers=2,
-        link_prediction=LinkPredictionConfig(
-            training=TrainSettings(epochs=3)
-        ),
-    )
-    settings.update(overrides)
-    return PipelineConfig(**settings)
-
-
-def test_pipeline_with_worker_faults_matches_clean_run(email_edges):
-    clean = Pipeline(
-        _small_config(faults=FaultPlan())
-    ).run_link_prediction(email_edges, seed=5)
-    faulted = Pipeline(
-        _small_config(
-            faults=FaultPlan.parse("walks:crash:0:1,sgns:crash:1:1"),
-        )
-    ).run_link_prediction(email_edges, seed=5)
-    np.testing.assert_array_equal(faulted.embeddings.matrix,
-                                  clean.embeddings.matrix)
-    assert faulted.accuracy == clean.accuracy
-    assert faulted.task_result.auc == clean.task_result.auc
-
-
-def test_pipeline_hang_in_phase1_recovers_via_timeout(email_edges):
-    clean = Pipeline(
-        _small_config(faults=FaultPlan())
-    ).run_link_prediction(email_edges, seed=5)
-    faulted = Pipeline(
-        _small_config(
-            faults=FaultPlan.parse("walks:hang:1:1"),
-            supervisor=SupervisorConfig(shard_timeout=1.5),
-        )
-    ).run_link_prediction(email_edges, seed=5)
-    np.testing.assert_array_equal(faulted.embeddings.matrix,
-                                  clean.embeddings.matrix)
-    assert faulted.accuracy == clean.accuracy
 
 
 # ---------------------------------------------------------------------------

@@ -82,73 +82,3 @@ class TestScalingCurve:
         curve = scaling_curve(work, [1, 64], costs=costs)
         assert curve[64] < 2.0  # startup swamps the tiny workload
 
-
-class TestMeasuredCurveValidation:
-    def _write(self, tmp_path, record):
-        import json
-
-        path = tmp_path / "parallel_scaling.json"
-        path.write_text(json.dumps(record))
-        return path
-
-    def test_load_measured_curve_round_trip(self, tmp_path):
-        from repro.hwmodel import load_measured_curve
-
-        path = self._write(tmp_path, {
-            "walk_speedup": {"1": 1.0, "2": 1.7, "4": 2.9},
-            "w2v_speedup": {"1": 1.0, "2": 1.5},
-        })
-        curve = load_measured_curve(path)
-        assert curve == {1: 1.0, 2: 1.7, 4: 2.9}
-        w2v = load_measured_curve(path, key="w2v_speedup")
-        assert w2v == {1: 1.0, 2: 1.5}
-
-    def test_load_measured_curve_missing_key(self, tmp_path):
-        from repro.hwmodel import load_measured_curve
-
-        path = self._write(tmp_path, {"other": {}})
-        with pytest.raises(ModelError):
-            load_measured_curve(path)
-
-    def test_compare_to_measured_rows(self):
-        from repro.hwmodel import compare_to_measured
-
-        work = np.ones(4096) * 10.0
-        measured = {1: 1.0, 2: 1.8, 4: 3.1}
-        rows = compare_to_measured(measured, work, costs=NO_CAP)
-        assert [r["workers"] for r in rows] == [1, 2, 4]
-        for row in rows:
-            assert row["measured"] == measured[row["workers"]]
-            assert row["modeled"] > 0
-            assert row["ratio"] == pytest.approx(
-                row["modeled"] / row["measured"]
-            )
-
-    def test_compare_to_measured_rejects_empty(self):
-        from repro.hwmodel import compare_to_measured
-
-        with pytest.raises(ModelError):
-            compare_to_measured({}, np.ones(10))
-
-    def test_model_measured_gap(self):
-        from repro.hwmodel import model_measured_gap
-
-        rows = [
-            {"workers": 1, "measured": 1.0, "modeled": 1.0, "ratio": 1.0},
-            {"workers": 2, "measured": 2.0, "modeled": 1.5, "ratio": 0.75},
-        ]
-        assert model_measured_gap(rows) == pytest.approx(0.125)
-        with pytest.raises(ModelError):
-            model_measured_gap([])
-
-    def test_perfect_agreement_gap_is_zero(self):
-        from repro.hwmodel import (
-            compare_to_measured,
-            model_measured_gap,
-            scaling_curve,
-        )
-
-        work = np.ones(512)
-        modeled = scaling_curve(work, [1, 2, 4], costs=NO_CAP)
-        rows = compare_to_measured(modeled, work, costs=NO_CAP)
-        assert model_measured_gap(rows) == pytest.approx(0.0, abs=1e-9)

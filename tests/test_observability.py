@@ -18,7 +18,6 @@ from repro.observability import (
     use_recorder,
     validate_pipeline_observability,
 )
-from repro.parallel import SupervisorConfig, run_supervised
 from repro.tasks.link_prediction import LinkPredictionConfig
 from repro.tasks.pipeline import PhaseTimings, Pipeline, PipelineConfig
 from repro.tasks.training import TrainSettings
@@ -332,61 +331,3 @@ class TestPipelineIntegration:
         assert resumed.counters["checkpoint.loads"] >= 2
         cached = [s.attrs.get("cached") for s in resumed.spans("rwalk")]
         assert cached == [True]
-
-    def test_parallel_run_publishes_merged_walk_counters_once(self,
-                                                              email_edges):
-        rec = Recorder()
-        result = _small_pipeline(rec, workers=2).run_link_prediction(
-            email_edges, seed=5
-        )
-        # Shards must not each publish: one run, one set of totals that
-        # matches the merged stats the run itself reports.
-        assert rec.counters["walk.runs"] == 1
-        assert rec.counters["walk.steps"] == result.walk_stats.total_steps
-        assert (rec.counters["walk.edges_scanned"]
-                == result.walk_stats.candidates_scanned)
-
-
-@pytest.mark.faults
-class TestSupervisorTracing:
-    def test_retry_attempts_appear_in_trace(self):
-        rec = Recorder()
-        with use_recorder(rec):
-            results, _ = run_supervised(
-                _square, [(i,) for i in range(3)], workers=2,
-                fault_plan=FaultPlan.parse("shards:crash:1:1"),
-            )
-        assert results == [0, 1, 4]
-        attempts = list(rec.spans("shard_attempt"))
-        assert rec.counters["supervisor.retries"] == 1
-        outcomes = [s.attrs["outcome"] for s in attempts]
-        assert outcomes.count("error") == 1
-        assert outcomes.count("ok") == 3
-        errored = [s for s in attempts if s.attrs["outcome"] == "error"]
-        assert errored[0].attrs["shard"] == 1
-        assert errored[0].attrs["attempt"] == 0
-
-    def test_timeout_and_degradation_counters(self):
-        rec = Recorder()
-        with use_recorder(rec):
-            run_supervised(
-                _square, [(i,) for i in range(2)], workers=2,
-                supervisor=SupervisorConfig(shard_timeout=1.0,
-                                            max_retries=0),
-                serial_fn=_square_serial,
-                fault_plan=FaultPlan.parse("shards:hang:1:99"),
-            )
-        assert rec.counters["supervisor.timeouts"] >= 1
-        assert rec.counters["supervisor.degraded"] == 1
-        assert any(s.attrs["outcome"] == "timeout"
-                   for s in rec.spans("shard_attempt"))
-        (degraded,) = rec.spans("shard_degraded")
-        assert degraded.attrs["shard"] == 1
-
-
-def _square(value):
-    return value * value
-
-
-def _square_serial(value):
-    return value * value

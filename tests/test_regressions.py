@@ -230,9 +230,9 @@ class TestSgnsScheduleRegressions:
         recorded = []
 
         class Probe(BatchedSgnsTrainer):
-            def _lr(self, seen, total, window=(0.0, 1.0)):
+            def _lr(self, seen, total):
                 recorded.append((seen, total))
-                return super()._lr(seen, total, window)
+                return super()._lr(seen, total)
 
         edges = generators.ia_email_like(scale=0.003, seed=11)
         graph = TemporalGraph.from_edge_list(edges.with_reverse_edges())
@@ -276,16 +276,14 @@ class TestSgnsScheduleRegressions:
         unweighted = sum(stats.losses) / 2
         assert stats.mean_loss != pytest.approx(unweighted, rel=1e-6)
 
-    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("objective",
                              ["negative-sampling", "hierarchical-softmax"])
-    def test_every_path_subsamples_and_publishes(self, objective, workers,
+    def test_every_path_subsamples_and_publishes(self, objective,
                                                  email_corpus, email_graph):
         """Bug: four copies of the training loop had drifted apart —
         hierarchical softmax ignored ``subsample_threshold`` and
-        published no ``sgns.*`` counters, and it could not train in
-        parallel at all.  Fix: one loop serves both objectives and
-        every worker count."""
+        published no ``sgns.*`` counters.  Fix: one loop serves both
+        objectives."""
         from repro.embedding import SgnsConfig, train_embeddings
         from repro.observability import Recorder, use_recorder
 
@@ -297,7 +295,6 @@ class TestSgnsScheduleRegressions:
                     SgnsConfig(dim=4, epochs=1,
                                subsample_threshold=threshold),
                     batch_sentences=64, seed=3, objective=objective,
-                    workers=workers,
                 )
             return rec, stats
 
@@ -306,15 +303,13 @@ class TestSgnsScheduleRegressions:
         assert sub.pairs_trained < plain.pairs_trained
         assert rec.counters["sgns.pairs"] == sub.pairs_trained
 
-    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("batch_sentences", [1, 64])
     def test_shared_negatives_honoured_on_every_path(
-        self, workers, batch_sentences, email_corpus, email_graph
+        self, batch_sentences, email_corpus, email_graph
     ):
-        """Bug: the sentence-sequential and parallel trainers ignored
-        ``shared_negatives`` and the parallel one reported K draws per
-        pair regardless.  Fix: the model draws its own negatives, K per
-        update when they are shared."""
+        """Bug: the sentence-sequential trainer ignored
+        ``shared_negatives``.  Fix: the model draws its own negatives, K
+        per update when they are shared."""
         from repro.embedding import SgnsConfig, train_embeddings
         from repro.observability import Recorder, use_recorder
 
@@ -323,7 +318,7 @@ class TestSgnsScheduleRegressions:
         with use_recorder(rec):
             _, stats = train_embeddings(
                 email_corpus, email_graph.num_nodes, config,
-                batch_sentences=batch_sentences, seed=3, workers=workers,
+                batch_sentences=batch_sentences, seed=3,
             )
         drawn = rec.counters["sgns.negatives_drawn"]
         assert drawn == stats.updates * config.negatives
