@@ -11,8 +11,6 @@ distribution (identical downstream accuracy).
 
 import time
 
-import numpy as np
-
 from repro.bench import ExperimentRecorder, render_table
 from repro.embedding import SgnsConfig, train_embeddings
 from repro.graph import TemporalGraph

@@ -11,8 +11,6 @@ scheduling; GPU points come from the GPU kernel models on the same
 measured statistics.
 """
 
-import numpy as np
-
 from repro.bench import ExperimentRecorder, render_table
 from repro.embedding import BatchedSgnsTrainer, SgnsConfig
 from repro.graph import TemporalGraph

@@ -2,8 +2,8 @@
 
 The sharded tier (:mod:`repro.serving.sharding`) claims that
 partitioning the embedding space across worker processes converts
-per-query scan time into parallel per-shard scans, at the cost of one
-query-vector fetch plus a scatter/gather round-trip per request.  This
+per-query scan time into parallel per-shard scans, at the cost of a
+scatter/gather round-trip per request.  This
 bench drives an exact-scan top-k workload (the worst case for the
 router: every request pays the full fan-out, no result caching, no hot
 set) against a 10^5-node store at 1, 2, and 4 shards and reports

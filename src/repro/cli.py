@@ -402,8 +402,6 @@ def _shard_row(recorder) -> dict:
             counters.get("serving.shard.rebalance.count", 0)),
         "stale retries": int(
             counters.get("serving.shard.stale_retries", 0)),
-        "vector fetches": int(
-            counters.get("serving.shard.vector_fetches", 0)),
         "cache hits": int(counters.get("serving.shard.cache_hits", 0)),
     }
 

@@ -16,8 +16,6 @@ only *when* parameter updates become visible.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 from repro.errors import EmbeddingError

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import EmbeddingError
-from repro.observability import Recorder, get_recorder
+from repro.observability import get_recorder
 
 #: How same-row gradients in one batch combine (see
 #: :meth:`repro.embedding.SkipGramModel.apply_batch`).
@@ -110,11 +110,9 @@ class TrainerStats:
     losses: list[float] = field(default_factory=list)
 
 
-def publish_trainer_stats(
-    stats: TrainerStats, recorder: Recorder | None = None
-) -> None:
-    """Flush one training run's counters into the (ambient) recorder."""
-    rec = recorder if recorder is not None else get_recorder()
+def publish_trainer_stats(stats: TrainerStats) -> None:
+    """Flush one training run's counters into the ambient recorder."""
+    rec = get_recorder()
     if not rec.enabled:
         return
     rec.counter("sgns.runs")

@@ -8,7 +8,7 @@ categories with the fraction views the figure plots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 CATEGORIES = ("memory", "branch", "compute_int", "compute_fp", "other")
 

@@ -260,21 +260,6 @@ class Recorder:
     def _now(self) -> float:
         return self._clock() - self._t0
 
-    def _open_span(self, name: str, attrs: dict[str, Any] | None,
-                   start: float) -> Span:
-        parent = self._stack[-1] if self._stack else None
-        span = Span(
-            self._next_id,
-            parent.span_id if parent is not None else None,
-            name, start, attrs,
-        )
-        self._next_id += 1
-        if parent is not None:
-            parent.children.append(span)
-        else:
-            self._roots.append(span)
-        return span
-
     @contextmanager
     def span(self, name: str, **attrs: Any) -> Iterator[Span]:
         """Open a nested span; closes (and times) it on exit.
@@ -284,7 +269,17 @@ class Recorder:
         span stack is popped either way, so tracing can never corrupt
         control flow.
         """
-        span = self._open_span(name, attrs, self._now())
+        parent = self._stack[-1] if self._stack else None
+        span = Span(
+            self._next_id,
+            parent.span_id if parent is not None else None,
+            name, self._now(), attrs,
+        )
+        self._next_id += 1
+        if parent is not None:
+            parent.children.append(span)
+        else:
+            self._roots.append(span)
         self._stack.append(span)
         try:
             yield span
@@ -296,19 +291,6 @@ class Recorder:
         finally:
             span.end = self._now()
             self._stack.pop()
-
-    def record_span(self, name: str, seconds: float,
-                    **attrs: Any) -> Span:
-        """Record an already-measured span ending now.
-
-        For events timed outside the span stack — e.g. concurrent
-        attempts that overlap each other and so cannot nest.  The span parents under the currently open span.
-        """
-        end = self._now()
-        span = self._open_span(name, attrs, end - max(0.0, float(seconds)))
-        span.end = end
-        span.status = "ok"
-        return span
 
     @property
     def current_span(self) -> Span | None:
@@ -448,9 +430,6 @@ class NullRecorder(Recorder):
             yield span
         finally:
             span.end = time.perf_counter()
-
-    def record_span(self, name: str, seconds: float, **attrs: Any) -> None:
-        return None
 
     @property
     def current_span(self) -> None:

@@ -19,24 +19,27 @@ across CPU/GPU stages, here spread across shard workers.  Five pieces:
   answered sub-queries.  Slices arrive through
   :class:`~repro.serving.shared_array.SharedArray` blocks, not the
   command pipe; sibling replicas attach the same block.
-- :class:`ShardedFrontend` — the router.  ``top_k`` is a
-  scatter/gather: fetch the query vector from the owning shard (router
-  LRU caches it per version), broadcast it to one replica per shard
-  (round-robin), take each shard's local top-k, merge with the
-  documented (score desc, lower global id) tie-break —
-  **bit-identical** to the single-process oracle.  ``score_link``
-  routes to an owning shard of one endpoint and ships the other
-  endpoint's vector when the pair spans shards.  A dead replica fails
-  over to a live sibling transparently (``serving.shard.replica
-  .failovers``); only when *every* replica of a shard is gone does the
-  router degrade — surviving shards still answer and every partial
-  gather is counted (``serving.shard.degraded_queries``).
+- :class:`ShardedFrontend` — the router.  It holds the served
+  version's whole (read-only) matrix, so query-side vectors never
+  cross a pipe.  ``top_k`` is a scatter/gather: ship the query row to
+  one replica per shard (round-robin), take each shard's local top-k,
+  merge with the documented (score desc, lower global id) tie-break —
+  **bit-identical** to the single-process oracle.  ``score_link`` is
+  answered at the router with the single-process frontend's einsum,
+  so it needs no live worker.  A dead replica fails over to a live
+  sibling transparently (``serving.shard.replica.failovers``); only
+  when *every* replica of a shard is gone does the router degrade —
+  surviving shards still answer and every partial gather is counted
+  (``serving.shard.degraded_queries``).
 - :class:`ShardedPublisher` — slices each new snapshot per shard,
   installs every slice on every live replica under one new version,
   and only then flips the router's served version.  Queries carry the
   version they were routed under and workers retain the previous
   version, so **no gather can ever mix two versions across shards**
   (the sharded analogue of the store's atomic snapshot swap).
+  Publish, :meth:`ShardedFrontend.rebalance` and
+  :meth:`ShardedFrontend.respawn_replica` all install through one
+  slice-install routine from the served version's matrix.
 - :meth:`ShardedFrontend.rebalance` — live migration between
   :class:`ShardPlan`\\ s without a stop-the-world republish: spawn the
   new worker set, install the served version's slices under the new
@@ -66,6 +69,7 @@ import itertools
 import threading
 import time
 from collections import OrderedDict
+from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing import resource_tracker
@@ -294,36 +298,6 @@ class _WorkerState:
                 sv.lru.popitem(last=False)
         return gids, scores, False
 
-    def vector(self, version: int, node: int) -> np.ndarray:
-        sv = self._resolve(version)
-        row = -1 if sv.store is None else _local_row(sv, node)
-        if row < 0:
-            raise ServingError(
-                f"node {node} is not owned by shard {self.shard_id}"
-            )
-        return np.array(sv.store.snapshot().matrix[row], copy=True)
-
-    def score(self, version: int, src: int, dst: int | None,
-              dst_vec: np.ndarray | None) -> float:
-        sv = self._resolve(version)
-        row = -1 if sv.store is None else _local_row(sv, src)
-        if row < 0:
-            raise ServingError(
-                f"node {src} is not owned by shard {self.shard_id}"
-            )
-        matrix = sv.store.snapshot().matrix
-        if dst_vec is None:
-            peer_row = _local_row(sv, int(dst))
-            if peer_row < 0:
-                raise ServingError(
-                    f"node {dst} is not owned by shard {self.shard_id}"
-                )
-            dst_vec = matrix[peer_row]
-        # Same einsum as ServingFrontend._process_scores, so a sharded
-        # link score is bit-identical to the single-process one.
-        return float(np.einsum("bd,bd->b", matrix[row][None, :],
-                               np.asarray(dst_vec)[None, :])[0])
-
 
 def _shard_worker_main(conn, shard_id: int, plan: ShardPlan,
                        cfg: _WorkerConfig, fault_plan=None,
@@ -353,8 +327,6 @@ def _shard_worker_main(conn, shard_id: int, plan: ShardPlan,
     handlers = {
         "install": state.install,
         "topk": state.topk,
-        "vector": state.vector,
-        "score": state.score,
         "metrics": recorder.export_state,
         "ping": lambda: shard_id,
     }
@@ -573,8 +545,9 @@ class ShardedServingConfig:
     costs zero degraded queries.  ``keep_versions`` is how many
     installed versions each worker retains — 2 lets queries routed just
     before a publish finish against the version they were routed under.
-    ``vector_cache_size`` bounds the router's per-version query-vector
-    LRU; ``cache_size`` bounds each worker's answered-sub-query LRU.
+    ``cache_size`` bounds each worker's answered-sub-query LRU; the
+    router needs no cache of its own, because it holds the served
+    matrix and reads query vectors and link scores from it.
     ``stop_timeout`` bounds each worker's graceful-stop wait before
     escalation (close/rebalance stop workers concurrently, so a hung
     worker costs one timeout, not one per worker).
@@ -587,7 +560,6 @@ class ShardedServingConfig:
     index: str = "exact"
     ann: IvfConfig | None = None
     keep_versions: int = 2
-    vector_cache_size: int = 4096
     request_timeout: float = 60.0
     replication_factor: int = 1
     stop_timeout: float = 5.0
@@ -613,10 +585,6 @@ class ShardedServingConfig:
         if self.keep_versions < 1:
             raise ServingError(
                 f"keep_versions must be >= 1, got {self.keep_versions}")
-        if self.vector_cache_size < 0:
-            raise ServingError(
-                "vector_cache_size must be >= 0, got "
-                f"{self.vector_cache_size}")
         if self.request_timeout <= 0:
             raise ServingError(
                 f"request_timeout must be > 0, got {self.request_timeout}")
@@ -629,13 +597,23 @@ class ShardedServingConfig:
                 f"stop_timeout must be > 0, got {self.stop_timeout}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _VersionInfo:
-    """The router's currently served (version, id-space, generation)."""
+    """The router's served version: id, generation and read-only matrix.
+
+    One reference, swapped under ``_publish_lock``, so a reader never
+    pairs one version's number with another version's rows.  The
+    matrix answers query vectors and link scores, and is what rebalance
+    and respawn re-slice.
+    """
 
     version: int
-    num_nodes: int
     generation: int
+    matrix: np.ndarray
+
+    @property
+    def num_nodes(self) -> int:
+        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -753,12 +731,7 @@ class ShardedFrontend:
         self._started = False
         self._closed = False
         self._publish_lock = threading.Lock()
-        self._version_counter = 0
         self._current: _VersionInfo | None = None
-        self._last_matrix: np.ndarray | None = None
-        self._vector_lock = threading.Lock()
-        self._vector_cache: OrderedDict[tuple[int, int], np.ndarray] = (
-            OrderedDict())
 
     # ------------------------------------------------------------------
     def _worker_config(self) -> _WorkerConfig:
@@ -825,8 +798,8 @@ class ShardedFrontend:
         """Stop every worker process concurrently (idempotent).
 
         A hung worker costs one ``stop_timeout`` escalation, not one
-        per worker; receiver threads are joined (bounded) and the
-        router's query-vector cache is cleared.
+        per worker; receiver threads are joined (bounded).  Queries on
+        a closed frontend raise :class:`~repro.errors.ServingError`.
         """
         if self._closed:
             return
@@ -836,8 +809,6 @@ class ShardedFrontend:
         if table is not None:
             table.retire()
             self._stop_table(table, timeout)
-        with self._vector_lock:
-            self._vector_cache.clear()
 
     @staticmethod
     def _stop_table(table: _RoutingTable, stop_timeout: float) -> None:
@@ -898,6 +869,15 @@ class ShardedFrontend:
             return 0
         return sum(1 for client in table.all_clients() if client.alive)
 
+    def _require_running(self) -> None:
+        if self._closed:
+            raise ServingError("sharded frontend is closed")
+        if not self._started:
+            raise ServingError(
+                "sharded frontend is not started; enter its context "
+                "(or call start()) first"
+            )
+
     def _require_current(self) -> _VersionInfo:
         info = self._current
         if info is None:
@@ -914,14 +894,12 @@ class ShardedFrontend:
         Loops on ``enter()`` so a query racing a rebalance lands on
         exactly one table: either the old one (still counted, drained
         before its workers retire) or the new one — never a mix.
+        ``close()`` sets ``_closed`` before it retires the table, so a
+        query racing a close raises instead of spinning.
         """
         while True:
+            self._require_running()
             table = self._table
-            if table is None:
-                raise ServingError(
-                    "sharded frontend is not started; enter its context "
-                    "(or call start()) first"
-                )
             if table.enter():
                 break
         try:
@@ -968,28 +946,26 @@ class ShardedFrontend:
 
         The recovery mechanism the control plane drives: under
         ``_publish_lock``, fork a replacement, ping it, install the
-        retained served matrix's slice under the *currently served*
-        version, and swap the new client into the live routing table's
-        slot in one assignment — readers pick it up at their next
-        round-robin selection, so recovery is invisible to queries.
+        served version's slice through :meth:`_install_slices`, and
+        swap the new client into the live routing table's slot in one
+        assignment — readers pick it up at their next round-robin
+        selection, so recovery is invisible to queries.
 
         Holding ``_publish_lock`` end to end serializes the install
         with :meth:`ShardedPublisher.publish` and :meth:`rebalance`:
-        a respawn racing a publish reads ``_current``/``_last_matrix``
-        either entirely before or entirely after the publish's flip,
-        so the replacement can never hold a version the router no
-        longer serves (and a publish that wins the race installs onto
-        the replacement like any other live replica).
+        a respawn racing a publish reads ``_current`` either entirely
+        before or entirely after the publish's flip, so the replacement
+        can never hold a version the router no longer serves (and a
+        publish that wins the race installs onto the replacement like
+        any other live replica).  A replacement that does not ack the
+        install is stopped and the respawn raises.
 
         Returns False without spawning when the slot is already live
         (the sweep raced a rebalance that replaced the whole table).
         ``fault_plan``/``attempt`` forward to the worker's
         ``controlplane.respawn`` fault site for crash-loop drills.
         """
-        if not self._started:
-            raise ServingError("sharded frontend is not started")
-        if self._closed:
-            raise ServingError("sharded frontend is closed")
+        self._require_running()
         timeout = self.config.request_timeout if timeout is None else timeout
         with self._publish_lock:
             table = self._table
@@ -1011,27 +987,13 @@ class ShardedFrontend:
                 client.request("ping", None, timeout=timeout)
                 info = self._current
                 if info is not None:
-                    if self._last_matrix is None:  # pragma: no cover
+                    acked, _issued = self._install_slices(
+                        table.plan, [(shard_id, [client])], info, timeout)
+                    if not acked:
                         raise ServingError(
-                            "respawn cannot re-slice: the served matrix "
-                            "was not retained"
+                            f"respawned replica {shard_id}.{replica} died "
+                            f"before installing version {info.version}"
                         )
-                    ids = table.plan.owned_ids(shard_id, info.num_nodes)
-                    block: SharedArray | None = None
-                    spec = None
-                    try:
-                        if len(ids) > 0:
-                            block = SharedArray.create(
-                                self._last_matrix[ids])
-                            spec = block.spec
-                        client.request(
-                            "install",
-                            (info.version, info.generation,
-                             info.num_nodes, spec),
-                            timeout=timeout)
-                    finally:
-                        if block is not None:
-                            block.close()
             except BaseException:
                 client.stop(self.config.stop_timeout)
                 raise
@@ -1042,54 +1004,37 @@ class ShardedFrontend:
         return True
 
     # ------------------------------------------------------------------
-    def _install(self, version: int, num_nodes: int, generation: int,
-                 matrix: np.ndarray | None = None) -> None:
-        """Flip the served version (publisher-only, under its lock).
-
-        Retains ``matrix`` so a later :meth:`rebalance` can re-slice
-        the served version under a new plan, and purges query vectors
-        of superseded versions from the router LRU: stale
-        ``(old_version, node)`` entries can never be read again — every
-        fetch keys on the current version — but would squat in the LRU
-        and evict hot current-version vectors.
-        """
-        self._version_counter = version
-        self._current = _VersionInfo(version, num_nodes, generation)
-        if matrix is not None:
-            self._last_matrix = matrix
-        with self._vector_lock:
-            stale = [key for key in self._vector_cache
-                     if key[0] != version]
-            for key in stale:
-                del self._vector_cache[key]
-
-    def _install_slices(self, table: _RoutingTable, version: int,
-                        generation: int, num_nodes: int,
-                        matrix: np.ndarray, timeout: float
+    @staticmethod
+    def _install_slices(plan: ShardPlan,
+                        groups: Iterable[tuple[int, list[EmbeddingShard]]],
+                        info: _VersionInfo, timeout: float
                         ) -> tuple[int, int]:
-        """Install ``matrix`` sliced per ``table.plan`` on every live
-        worker under ``version``; returns ``(acked, issued)`` counts.
+        """Install ``info``'s matrix, sliced per ``plan``, on every live
+        worker of ``groups`` (``(shard_id, clients)`` pairs) under
+        ``info.version``; returns ``(acked, issued)`` counts.
 
-        One shared block per shard slice — sibling replicas attach the
-        same pages and copy locally.
+        The one install path of publish, rebalance and respawn.  One
+        shared block per shard slice — sibling replicas attach the same
+        pages and copy locally.
         """
         blocks: list[SharedArray] = []
         acked = 0
         try:
             pending: list[_Reply] = []
-            for shard_id, group in enumerate(table.groups):
+            for shard_id, group in groups:
                 live = [client for client in group if client.alive]
                 if not live:
                     continue
-                ids = table.plan.owned_ids(shard_id, num_nodes)
+                ids = plan.owned_ids(shard_id, info.num_nodes)
                 spec = None
                 if len(ids) > 0:
-                    block = SharedArray.create(matrix[ids])
+                    block = SharedArray.create(info.matrix[ids])
                     blocks.append(block)
                     spec = block.spec
                 for client in live:
                     pending.append(client.request_async(
-                        "install", (version, generation, num_nodes, spec)))
+                        "install", (info.version, info.generation,
+                                    info.num_nodes, spec)))
             issued = len(pending)
             for reply in pending:
                 try:
@@ -1103,49 +1048,6 @@ class ShardedFrontend:
             for block in blocks:
                 block.close()
         return acked, issued
-
-    def _fetch_vector(self, table: _RoutingTable, info: _VersionInfo,
-                      node: int) -> np.ndarray:
-        """The query vector of ``node`` under ``info`` (router-cached).
-
-        Tries each live replica of the owning shard in round-robin
-        order; a replica dying mid-fetch fails over to its sibling.
-        """
-        rec = get_recorder()
-        key = (info.version, node)
-        with self._vector_lock:
-            hit = self._vector_cache.get(key)
-            if hit is not None:
-                self._vector_cache.move_to_end(key)
-        if hit is not None:
-            rec.counter("serving.shard.vector_cache_hits")
-            return hit
-        shard = table.plan.shard_of(node, info.num_nodes)
-        candidates = table.live_replicas(shard)
-        vector = None
-        for position, client in enumerate(candidates):
-            try:
-                vector, _seconds = client.request(
-                    "vector", (info.version, node),
-                    timeout=self.config.request_timeout,
-                )
-                break
-            except _ShardDownError:
-                if position + 1 < len(candidates) and rec.enabled:
-                    rec.counter("serving.shard.replica.failovers")
-                continue
-        if vector is None:
-            raise ServingError(
-                f"cannot fetch the query vector of node {node}: owning "
-                f"shard {shard} is down and the vector is not cached"
-            )
-        rec.counter("serving.shard.vector_fetches")
-        if self.config.vector_cache_size > 0:
-            with self._vector_lock:
-                self._vector_cache[key] = vector
-                while len(self._vector_cache) > self.config.vector_cache_size:
-                    self._vector_cache.popitem(last=False)
-        return vector
 
     def _with_stale_retry(self, fn):
         """Run ``fn`` once more under the refreshed version on staleness.
@@ -1171,11 +1073,12 @@ class ShardedFrontend:
               timeout: float | None = None) -> TopK:
         """Top-``k`` nodes for ``node``, best first — the scatter/gather.
 
-        Bit-identical to the single-process oracle while every shard
-        has a live replica (a dead replica fails over to a sibling
-        transparently); with whole shards dead the merge covers the
-        surviving slices and the query counts as
-        ``serving.shard.degraded_queries``.
+        The query row comes from the router's served matrix and ships
+        with the scatter.  Bit-identical to the single-process oracle
+        while every shard has a live replica (a dead replica fails over
+        to a sibling transparently); with whole shards dead — the query
+        node's own shard included — the merge covers the surviving
+        slices and the query counts as ``serving.shard.degraded_queries``.
         """
         rec = get_recorder()
         start = time.monotonic()
@@ -1201,8 +1104,7 @@ class ShardedFrontend:
         rec = get_recorder()
         start = time.monotonic()
         with self._routed() as table:
-            vector = self._fetch_vector(table, info, node)
-            payload = (info.version, node, k, vector)
+            payload = (info.version, node, k, info.matrix[node])
             pending = []
             for shard_id in range(table.plan.num_shards):
                 order = table.live_replicas(shard_id)
@@ -1296,96 +1198,33 @@ class ShardedFrontend:
     # ------------------------------------------------------------------
     def score_link(self, src: int, dst: int,
                    timeout: float | None = None) -> float:
-        """Similarity score of ``(src, dst)``, routed to an owning shard.
+        """Similarity score of ``(src, dst)``, answered at the router.
 
-        Served by a live replica of ``src``'s shard when one exists
-        (``dst``'s vector ships along unless the pair is co-located);
-        scores are symmetric, so when ``src``'s shard is entirely down
-        — or its chosen replica dies between routing and reply — the
-        request fails over to a sibling replica and then to ``dst``'s
-        shard.  Raises :class:`~repro.errors.ServingError` only when no
-        owning worker survives.
+        The same einsum as ``ServingFrontend._process_scores`` on the
+        served matrix, so the score bits match the single-process
+        frontend and no worker — live or dead — is involved.
+        ``timeout`` is accepted for interface parity with
+        :class:`~repro.serving.frontend.ServingFrontend`; nothing here
+        waits.
         """
         rec = get_recorder()
         start = time.monotonic()
-        result = self._with_stale_retry(
-            lambda: self._score_once(int(src), int(dst), timeout))
-        if rec.enabled:
-            rec.counter("serving.shard.requests.score")
-            rec.observe("serving.shard.latency.score_s",
-                        time.monotonic() - start)
-        return result
-
-    def _score_once(self, src: int, dst: int,
-                    timeout: float | None) -> float:
+        self._require_running()
         info = self._require_current()
+        src, dst = int(src), int(dst)
         for node in (src, dst):
             if not 0 <= node < info.num_nodes:
                 raise ServingError(
                     f"node {node} out of range [0, {info.num_nodes})"
                 )
-        timeout = self.config.request_timeout if timeout is None else timeout
-        rec = get_recorder()
-        with self._routed() as table:
-            src_shard = table.plan.shard_of(src, info.num_nodes)
-            dst_shard = table.plan.shard_of(dst, info.num_nodes)
-            # Liveness is rechecked per attempt, not only up front: a
-            # replica dying between routing and reply surfaces as
-            # _ShardDownError from request(), and the next candidate —
-            # sibling replica first, then dst's shard — takes over.
-            attempts: list[tuple[EmbeddingShard, int, int, int]] = []
-            for anchor, a_shard, peer, p_shard in (
-                    (src, src_shard, dst, dst_shard),
-                    (dst, dst_shard, src, src_shard)):
-                for client in table.live_replicas(a_shard):
-                    attempts.append((client, anchor, peer, p_shard))
-                if src_shard == dst_shard:
-                    break  # co-located: both directions are one shard
-            if not attempts:
-                raise ServingError(
-                    f"link score ({src}, {dst}) unservable: shards "
-                    f"{src_shard} and {dst_shard} are both down"
-                )
-            last_error: ServingError | None = None
-            attempted = 0
-            for client, anchor, peer, p_shard in attempts:
-                if not client.alive:
-                    continue
-                if attempted and rec.enabled:
-                    rec.counter("serving.shard.replica.failovers")
-                attempted += 1
-                try:
-                    if p_shard == client.shard_id:
-                        payload = (info.version, anchor, peer, None)
-                    else:
-                        payload = (info.version, anchor, None,
-                                   self._fetch_vector(table, info, peer))
-                    score, seconds = client.request(
-                        "score", payload, timeout=timeout)
-                except _StaleVersionError:
-                    raise
-                except _ShardDownError as exc:
-                    last_error = exc
-                    continue
-                except ServingError as exc:
-                    # E.g. the peer's vector is unfetchable from this
-                    # direction; the mirrored anchor may still serve a
-                    # co-located pair.
-                    last_error = exc
-                    continue
-                if rec.enabled:
-                    rec.counter(f"serving.shard.{client.shard_id}.requests")
-                    rec.observe(f"serving.shard.{client.shard_id}.seconds",
-                                seconds)
-                    if table.replication > 1:
-                        rec.counter(
-                            f"serving.shard.{client.shard_id}.replica."
-                            f"{client.replica}.requests")
-                return float(score)
-            raise ServingError(
-                f"link score ({src}, {dst}) unservable: no owning "
-                f"worker survives"
-            ) from last_error
+        matrix = info.matrix
+        score = float(np.einsum("bd,bd->b", matrix[src][None, :],
+                                matrix[dst][None, :])[0])
+        if rec.enabled:
+            rec.counter("serving.shard.requests.score")
+            rec.observe("serving.shard.latency.score_s",
+                        time.monotonic() - start)
+        return score
 
     # ------------------------------------------------------------------
     def rebalance(self, new_plan: ShardPlan,
@@ -1407,13 +1246,7 @@ class ShardedFrontend:
             raise ServingError(
                 f"rebalance needs a ShardPlan, got {type(new_plan).__name__}"
             )
-        if not self._started:
-            raise ServingError(
-                "sharded frontend is not started; enter its context "
-                "(or call start()) before rebalancing"
-            )
-        if self._closed:
-            raise ServingError("sharded frontend is closed")
+        self._require_running()
         timeout = self.config.request_timeout if timeout is None else timeout
         drain_timeout = (self.config.request_timeout
                          if drain_timeout is None else drain_timeout)
@@ -1428,15 +1261,10 @@ class ShardedFrontend:
                     client.request("ping", None, timeout=timeout)
                 info = self._current
                 if info is not None:
-                    if self._last_matrix is None:  # pragma: no cover
-                        raise ServingError(
-                            "rebalance cannot re-slice: the served "
-                            "matrix was not retained"
-                        )
                     t0 = time.perf_counter()
                     acked, issued = self._install_slices(
-                        new_table, info.version, info.generation,
-                        info.num_nodes, self._last_matrix, timeout)
+                        new_plan, enumerate(new_table.groups), info,
+                        timeout)
                     install_s = time.perf_counter() - t0
                     if issued and not acked:
                         raise ServingError(
@@ -1487,8 +1315,6 @@ class ShardedFrontend:
         died with the worker processes.  Counters are cumulative over a
         worker's lifetime: call once per run, not per interval.
         """
-        if not self._started:
-            raise ServingError("sharded frontend is not started")
         timeout = self.config.request_timeout if timeout is None else timeout
         merged = Recorder()
         reporting = 0
@@ -1543,17 +1369,19 @@ class ShardedPublisher:
     def publish(self, matrix: np.ndarray, generation: int = 0) -> int:
         """Install ``matrix`` across every shard; returns the version."""
         frontend = self.frontend
-        if not frontend._started:
-            raise ServingError(
-                "sharded frontend is not started; enter its context "
-                "(or call start()) before publishing"
-            )
+        frontend._require_running()
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] < 1:
             raise ServingError(
                 "published embeddings must be a non-empty 2-D matrix, "
                 f"got shape {matrix.shape}"
             )
+        # The router serves (and later re-slices) this matrix by
+        # reference, so a buffer the caller could still write is frozen
+        # into a private copy; the store's snapshots pass through.
+        if matrix.flags.writeable or not matrix.flags.owndata:
+            matrix = matrix.copy()
+            matrix.setflags(write=False)
         start = time.perf_counter()
         with frontend._publish_lock:
             current = frontend._current
@@ -1562,26 +1390,26 @@ class ShardedPublisher:
                     f"stale publish: generation {generation} is older "
                     f"than the served generation {current.generation}"
                 )
-            version = frontend._version_counter + 1
-            num_nodes = matrix.shape[0]
+            info = _VersionInfo(
+                (current.version if current is not None else 0) + 1,
+                int(generation), matrix)
             table = frontend._table
             _acked, issued = frontend._install_slices(
-                table, version, int(generation), num_nodes, matrix,
-                self._timeout)
+                table.plan, enumerate(table.groups), info, self._timeout)
             if issued == 0:
                 raise ServingError(
                     "sharded publish failed: every worker is down"
                 )
             # The flip: queries issued from here on are tagged with the
             # fully-installed new version.
-            frontend._install(version, num_nodes, int(generation), matrix)
+            frontend._current = info
         rec = get_recorder()
         rec.counter("serving.shard.publishes")
-        rec.gauge("serving.shard.version", version)
-        rec.gauge("serving.shard.generation", int(generation))
+        rec.gauge("serving.shard.version", info.version)
+        rec.gauge("serving.shard.generation", info.generation)
         rec.observe("serving.shard.install_s",
                     time.perf_counter() - start)
-        return version
+        return info.version
 
     # ------------------------------------------------------------------
     def attach(self, store: EmbeddingStore) -> None:

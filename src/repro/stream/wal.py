@@ -62,8 +62,6 @@ import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from repro.errors import StreamError
 from repro.faults import FaultPlan
 from repro.graph.edges import TemporalEdgeList

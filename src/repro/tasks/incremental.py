@@ -18,8 +18,6 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.embedding.batched import BatchedSgnsTrainer
 from repro.embedding.embeddings import NodeEmbeddings
 from repro.embedding.skipgram import SkipGramModel

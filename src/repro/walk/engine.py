@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.errors import WalkError
 from repro.graph.csr import TemporalGraph
-from repro.observability import Recorder, get_recorder
+from repro.observability import get_recorder
 from repro.rng import SeedLike, make_rng
 from repro.walk.config import WalkConfig
 from repro.walk.corpus import PAD, WalkCorpus
@@ -103,15 +103,14 @@ class WalkStats:
         return self.candidates_scanned / self.total_steps
 
 
-def publish_walk_stats(stats: WalkStats,
-                       recorder: Recorder | None = None) -> None:
-    """Flush one run's work counters into the (ambient) recorder.
+def publish_walk_stats(stats: WalkStats) -> None:
+    """Flush one run's work counters into the ambient recorder.
 
     Called once per engine run, so the recorder cost is independent of
     walk count; a :class:`~repro.observability.NullRecorder` makes this
     free.
     """
-    rec = recorder if recorder is not None else get_recorder()
+    rec = get_recorder()
     if not rec.enabled:
         return
     rec.counter("walk.runs")

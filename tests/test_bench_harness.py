@@ -3,7 +3,6 @@
 import json
 
 import numpy as np
-import pytest
 
 from repro.bench import ExperimentRecorder, format_value, render_series, render_table, sweep
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphError
-from repro.graph import TemporalGraph, compute_stats, generators
+from repro.graph import TemporalGraph, generators
 from repro.graph.io import LabeledTemporalDataset
 from repro.graph.stats import gini
 

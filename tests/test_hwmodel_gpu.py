@@ -1,12 +1,10 @@
 """Unit tests for the GPU execution/stall model (Fig. 3, 5, 6, 11)."""
 
-import numpy as np
 import pytest
 
 from repro.embedding.trainer import SgnsConfig, TrainerStats
 from repro.errors import ModelError
 from repro.hwmodel.gpu import (
-    GpuConfig,
     GpuKernelModel,
     StallBreakdown,
     Word2vecGpuModel,

@@ -1,9 +1,7 @@
 """Additional GPU/CPU model edge-case tests."""
 
-import numpy as np
 import pytest
 
-from repro.errors import ModelError
 from repro.hwmodel.gpu import (
     CpuConfig,
     GpuConfig,

@@ -1,6 +1,5 @@
 """Unit tests for the one-call pipeline characterization."""
 
-import numpy as np
 import pytest
 
 from repro.embedding import SgnsConfig

@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import TrainingError
 from repro.nn.evaluation import (
-    ClassificationReport,
     classification_report,
     confusion_matrix,
 )

@@ -5,7 +5,6 @@ analytic backward passes must agree with numerical differentiation to
 high precision on the exact architectures the paper's tasks use.
 """
 
-import numpy as np
 import pytest
 
 from repro.nn import (

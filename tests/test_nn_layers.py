@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import TrainingError
-from repro.nn import Linear, ReLU, Residual, Sequential, Sigmoid, Tanh
+from repro.nn import Linear, ReLU, Residual, Sigmoid, Tanh
 
 
 class TestLinear:

@@ -114,19 +114,13 @@ class TestSpans:
             rec.annotate(epoch=3)
         assert span.attrs == {"workers": 2, "cached": False, "epoch": 3}
 
-    def test_record_span_parents_under_open_span(self):
-        rec = Recorder()
-        with rec.span("supervise") as parent:
-            child = rec.record_span("attempt", 0.25, shard=1, outcome="ok")
-        assert child.parent_id == parent.span_id
-        assert child.duration == pytest.approx(0.25, abs=0.01)
-        assert child.attrs["outcome"] == "ok"
-
     def test_span_seconds_sums_repeats(self):
-        rec = Recorder()
-        rec.record_span("epoch", 0.5)
-        rec.record_span("epoch", 0.25)
-        assert rec.span_seconds("epoch") == pytest.approx(0.75, abs=0.02)
+        ticks = iter([0.0, 1.0, 1.5, 2.0, 2.25])
+        rec = Recorder(clock=lambda: next(ticks))
+        for _ in range(2):
+            with rec.span("epoch"):
+                pass
+        assert rec.span_seconds("epoch") == pytest.approx(0.75)
 
 
 class TestNullRecorder:
@@ -139,7 +133,6 @@ class TestNullRecorder:
         assert rec.histograms == {}
         assert list(rec.spans()) == []
         assert rec.span_seconds("anything") == 0.0
-        assert rec.record_span("attempt", 0.1) is None
 
     def test_not_enabled(self):
         assert NullRecorder().enabled is False

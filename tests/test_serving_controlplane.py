@@ -184,6 +184,35 @@ class TestRespawn:
             with pytest.raises(ServingError):
                 frontend.respawn_replica(0, 5)
 
+    def test_replacement_dying_mid_install_is_stopped_and_raises(self):
+        rng = np.random.default_rng(74)
+        matrix = rng.standard_normal((40, 4))
+        with sharded(ShardPlan(2, "hash"), make_store(matrix)) as frontend:
+            frontend.kill_replica(0, 0)
+            spawned = []
+            spawn = frontend._spawn_worker
+
+            def spawn_dying_on_install(*args, **kwargs):
+                client = spawn(*args, **kwargs)
+                send = client.request_async
+
+                def request_async(op, payload):
+                    if op == "install":
+                        client.kill()
+                    return send(op, payload)
+
+                client.request_async = request_async
+                spawned.append(client)
+                return client
+
+            frontend._spawn_worker = spawn_dying_on_install
+            with pytest.raises(ServingError):
+                frontend.respawn_replica(0, 0)
+            (replacement,) = spawned
+            assert not replacement._process.is_alive()
+            assert frontend._table.groups[0][0] is not replacement
+            assert not frontend._table.groups[0][0].alive
+
     def test_respawned_worker_serves_post_publish_version(self):
         """A publish landing while a replica is dead must win: the
         later respawn re-slices the *new* matrix under the *new*

@@ -14,11 +14,8 @@ The contracts pinned here, each against the single-process oracle:
   between plans under closed-loop load with zero query errors and zero
   mixed-plan responses (every response matches the oracle bit for
   bit), and publishes keep working across the flip;
-- **failover bug sweep**: ``score_link`` retries the peer shard when
-  the anchor dies mid-request (not just when it was dead up front);
-  the router's vector LRU drops superseded-version entries at install
-  time; ``close()`` stops hung workers concurrently, joins receiver
-  threads, and clears the vector cache.
+- **close**: ``close()`` stops hung workers concurrently and joins
+  receiver threads; queries on a closed frontend raise at once.
 """
 
 from __future__ import annotations
@@ -42,7 +39,6 @@ from repro.serving import (
     ShardedServingConfig,
     run_load,
 )
-from repro.serving.sharding import _ShardDownError
 
 pytestmark = pytest.mark.shards
 
@@ -65,7 +61,7 @@ def sharded(plan: ShardPlan, store: EmbeddingStore,
 
 
 def einsum_score(a: np.ndarray, b: np.ndarray) -> float:
-    """The worker's scoring kernel (einsum, bitwise-commutative) — the
+    """The router's scoring kernel (einsum, bitwise-commutative) — the
     oracle for score_link; BLAS ``@`` can differ in the last ulp."""
     return float(np.einsum("bd,bd->b", a[None, :], b[None, :])[0])
 
@@ -199,93 +195,6 @@ class TestDegradedPathMetrics:
         assert fanin.mean == 2.0
 
 
-class TestScoreLinkMidRequestFailover:
-    def test_anchor_death_mid_request_fails_over_to_peer_shard(self):
-        rng = np.random.default_rng(55)
-        matrix = rng.standard_normal((60, 4))
-        plan = ShardPlan(2, "range")
-        with sharded(plan, make_store(matrix)) as frontend:
-            src = int(plan.owned_ids(0, 60)[0])
-            dst = int(plan.owned_ids(1, 60)[0])
-            # Warm the router's vector cache with src's vector so the
-            # dst-anchored retry can ship it once shard 0 is gone.
-            frontend.top_k(src, 3)
-            kill_on(frontend._table.groups[0][0], "score")
-            # Anchor (shard 0) dies between routing and reply; the old
-            # code leaked _ShardDownError here instead of retrying on
-            # dst's shard.
-            expected = einsum_score(matrix[src], matrix[dst])
-            assert frontend.score_link(src, dst) == expected
-
-    def test_anchor_death_mid_request_fails_over_to_sibling(self):
-        rng = np.random.default_rng(56)
-        matrix = rng.standard_normal((60, 4))
-        plan = ShardPlan(2, "range")
-        config = ShardedServingConfig(replication_factor=2,
-                                      vector_cache_size=0)
-        recorder = Recorder()
-        with use_recorder(recorder):
-            with sharded(plan, make_store(matrix), config) as frontend:
-                src = int(plan.owned_ids(0, 60)[0])
-                dst = int(plan.owned_ids(1, 60)[0])
-                for replica in range(2):
-                    kill_on(frontend._table.groups[0][replica], "score")
-                # Both src-shard replicas die mid-request one after the
-                # other.  The dst-anchored retries then need src's
-                # vector, which is unfetchable (owning shard gone,
-                # cache disabled) — every direction dead-ends, and a
-                # plain ServingError (not the internal _ShardDownError)
-                # must surface.
-                with pytest.raises(ServingError) as excinfo:
-                    frontend.score_link(src, dst)
-                assert not isinstance(excinfo.value, _ShardDownError)
-        assert recorder.counters.get(
-            "serving.shard.replica.failovers", 0) >= 1
-
-    def test_mid_request_death_with_replicas_is_transparent(self):
-        rng = np.random.default_rng(57)
-        matrix = rng.standard_normal((60, 4))
-        plan = ShardPlan(2, "range")
-        config = ShardedServingConfig(replication_factor=2)
-        with sharded(plan, make_store(matrix), config) as frontend:
-            src = int(plan.owned_ids(0, 60)[0])
-            dst = int(plan.owned_ids(1, 60)[0])
-            # Pre-warm the router's vector cache with src's vector,
-            # then take down both anchor replicas mid-request: the
-            # dst-anchored retry ships the cached src vector and the
-            # caller never notices.
-            frontend.top_k(src, 3)
-            kill_on(frontend._table.groups[0][0], "score")
-            kill_on(frontend._table.groups[0][1], "score")
-            expected = einsum_score(matrix[src], matrix[dst])
-            assert frontend.score_link(src, dst) == expected
-
-
-class TestVectorCachePurge:
-    def test_install_purges_superseded_version_entries(self):
-        rng = np.random.default_rng(58)
-        first = rng.standard_normal((50, 4))
-        second = rng.standard_normal((50, 4))
-        store = make_store(first, generation=1)
-        with sharded(ShardPlan(2, "hash"), store) as frontend:
-            for node in range(10):
-                frontend.top_k(node, 3)
-            with frontend._vector_lock:
-                assert len(frontend._vector_cache) == 10
-                assert {key[0] for key in frontend._vector_cache} == {1}
-            store.publish(second, generation=2)
-            # Version-1 entries can never be read again; they must not
-            # squat in the LRU evicting hot version-2 vectors.
-            with frontend._vector_lock:
-                assert len(frontend._vector_cache) == 0
-            for node in range(4):
-                frontend.top_k(node, 3)
-            with frontend._vector_lock:
-                keys = set(frontend._vector_cache)
-            assert {key[0] for key in keys} == {2}
-            assert {key[1] for key in keys} == {0, 1, 2, 3}
-
-
 class TestConcurrentClose:
     def test_close_with_hung_workers_is_concurrent_and_joins_receivers(
             self):
@@ -310,9 +219,33 @@ class TestConcurrentClose:
         for client in clients:
             assert not client.alive
             assert not client._receiver.is_alive()
-        with frontend._vector_lock:
-            assert len(frontend._vector_cache) == 0
         frontend.close()  # idempotent
+
+    def test_queries_on_closed_frontend_raise_at_once(self):
+        rng = np.random.default_rng(62)
+        frontend = sharded(ShardPlan(2, "hash"),
+                           make_store(rng.standard_normal((30, 4))))
+        frontend.close()
+        calls = (lambda: frontend.top_k(0, 3),
+                 lambda: frontend.score_link(0, 1),
+                 frontend.worker_metrics)
+        for call in calls:
+            errors: list[BaseException] = []
+
+            def run(call=call) -> None:
+                try:
+                    call()
+                except BaseException as exc:
+                    errors.append(exc)
+
+            # A daemon thread bounds the wall time: a query that spins
+            # on the retired routing table must fail here, not hang.
+            thread = threading.Thread(target=run, daemon=True)
+            thread.start()
+            thread.join(3.0)
+            assert not thread.is_alive(), "query on a closed frontend hung"
+            assert len(errors) == 1
+            assert isinstance(errors[0], ServingError)
 
     def test_close_is_idempotent_and_cheap_when_healthy(self):
         rng = np.random.default_rng(60)

@@ -259,6 +259,31 @@ class TestVersionAtomicity:
                 publisher.publish(rng.standard_normal((10, 4)),
                                   generation=4)
 
+    def test_publish_freezes_a_writeable_caller_buffer(self):
+        rng = np.random.default_rng(23)
+        matrix = rng.standard_normal((60, 4))
+        published = matrix.copy()
+        oracle = oracle_for(published)
+        plan = ShardPlan(2, "range")
+        with ShardedFrontend(plan).start() as frontend:
+            ShardedPublisher(frontend).publish(matrix, generation=1)
+            # The caller reuses its buffer after the publish returned;
+            # respawn and rebalance must still install the published
+            # rows, and the router must still answer from them.
+            matrix[:] = rng.standard_normal(matrix.shape)
+            frontend.kill_replica(1, 0)
+            assert frontend.respawn_replica(1, 0)
+            for _ in range(2):
+                for node in (0, 59):
+                    ids, scores = frontend.top_k(node, 5)
+                    expected_ids, expected_scores = oracle.top_k(node, 5)
+                    np.testing.assert_array_equal(ids, expected_ids)
+                    np.testing.assert_array_equal(scores, expected_scores)
+                assert frontend.score_link(0, 59) == float(np.einsum(
+                    "bd,bd->b", published[0][None, :],
+                    published[59][None, :])[0])
+                frontend.rebalance(ShardPlan(3, "hash"))
+
     def test_no_query_observes_mixed_versions(self):
         """Racing publisher: every gather equals exactly one version's
         oracle.  Version-v matrices are constant rank vectors, so any
@@ -281,7 +306,7 @@ class TestVersionAtomicity:
 
         frontend = ShardedFrontend(
             ShardPlan(3, "hash"),
-            ShardedServingConfig(cache_size=0, vector_cache_size=0),
+            ShardedServingConfig(cache_size=0),
         ).start()
         with frontend:
             publisher = ShardedPublisher(frontend)
@@ -356,16 +381,29 @@ class TestDegradedMode:
         assert recorder.counters.get(
             "serving.shard.degraded_queries", 0) >= 1
 
-    def test_query_owned_by_dead_shard_raises(self):
+    def test_query_owned_by_dead_shard_degrades(self):
         rng = np.random.default_rng(31)
         matrix = rng.standard_normal((60, 4))
         plan = ShardPlan(3, "range")
-        config = ShardedServingConfig(vector_cache_size=0)
-        with sharded(plan, make_store(matrix), config) as frontend:
-            frontend.kill_shard(1)
-            dead_node = int(plan.owned_ids(1, 60)[0])
-            with pytest.raises(ServingError):
-                frontend.top_k(dead_node, 5)
+        recorder = Recorder()
+        with use_recorder(recorder):
+            with sharded(plan, make_store(matrix)) as frontend:
+                frontend.kill_shard(1)
+                dead_node = int(plan.owned_ids(1, 60)[0])
+                # The router holds the query row, so the surviving
+                # shards still answer: the oracle scans the surviving
+                # rows with the dead node's vector.
+                surviving = np.concatenate([
+                    plan.owned_ids(0, 60), plan.owned_ids(2, 60),
+                ])
+                oracle = oracle_for(matrix[surviving])
+                ids, scores = frontend.top_k(dead_node, 5)
+                exp_local, exp_scores = oracle.top_k_vector(
+                    matrix[dead_node], 5)
+                np.testing.assert_array_equal(ids, surviving[exp_local])
+                np.testing.assert_array_equal(scores, exp_scores)
+        assert recorder.counters.get(
+            "serving.shard.degraded_queries", 0) == 1
 
     def test_score_link_falls_back_to_peer_shard(self):
         rng = np.random.default_rng(32)
@@ -373,17 +411,18 @@ class TestDegradedMode:
         plan = ShardPlan(3, "range")
         with sharded(plan, make_store(matrix)) as frontend:
             frontend.kill_shard(0)
-            src = int(plan.owned_ids(0, 60)[0])   # dead shard's node
-            dst = int(plan.owned_ids(2, 60)[0])   # live shard's node
-            # src's vector is unfetchable, but dst's shard can score
-            # the symmetric pair (dst, src)... which still needs src's
-            # vector.  Both directions dead-end -> ServingError.
-            with pytest.raises(ServingError):
-                frontend.score_link(src, dst)
-            # A pair with both rows on live shards still works.
-            live_src = int(plan.owned_ids(1, 60)[0])
-            expected = float(matrix[live_src] @ matrix[dst])
-            assert frontend.score_link(live_src, dst) == expected
+            frontend.kill_shard(2)
+            # Both owning shards are dead; the router scores from the
+            # matrix it holds, bit-identical to the single-process
+            # frontend's einsum.
+            for src, dst in ((int(plan.owned_ids(0, 60)[0]),
+                              int(plan.owned_ids(2, 60)[0])),
+                             (int(plan.owned_ids(1, 60)[0]),
+                              int(plan.owned_ids(2, 60)[1]))):
+                expected = float(np.einsum(
+                    "bd,bd->b", matrix[src][None, :],
+                    matrix[dst][None, :])[0])
+                assert frontend.score_link(src, dst) == expected
 
     def test_publish_with_dead_shard_keeps_tier_live(self):
         rng = np.random.default_rng(33)

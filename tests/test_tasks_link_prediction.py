@@ -1,6 +1,5 @@
 """Unit tests for the link-prediction task."""
 
-import numpy as np
 import pytest
 
 from repro.nn.layers import Linear

@@ -7,7 +7,7 @@ from repro.errors import DataPreparationError
 from repro.graph.edges import TemporalEdgeList
 from repro.tasks import LinkPredictionTask
 from repro.tasks.link_prediction import LinkPredictionConfig
-from repro.tasks.ranking import RankingMetrics, rank_link_predictions
+from repro.tasks.ranking import rank_link_predictions
 from repro.tasks.training import TrainSettings
 
 

@@ -1,6 +1,5 @@
 """Unit tests for the hyperparameter-sweep API."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ReproError
