@@ -8,13 +8,18 @@ embedding matrices, relying on update sparsity to preserve accuracy; a
 16k-sentence batch gave a 124.2x speedup with no accuracy loss (Fig. 5).
 
 :class:`BatchedSgnsTrainer` is the exact numpy analogue and the library's
-only training loop: it batches sentences, subsamples, generates pairs,
-decays the learning rate and keeps the stats, while the model owns one
-stale-snapshot step (``train_batch``: gradients against one weight
-snapshot, then a single scatter).  ``batch_sentences=1`` is the
-sentence-at-a-time baseline, so the Fig. 5 sweep is a single code path;
-``objective`` picks negative sampling (:class:`SkipGramModel`) or
-hierarchical softmax (:class:`HierarchicalSoftmaxModel`).
+only training loop: it batches sentences, decays the learning rate and
+keeps the stats, while the model owns one stale-snapshot step
+(``train_batch``: gradients against one weight snapshot, then a single
+scatter).  Pair building is batched too, for the same launch-overhead
+reason one level up: each batch's subsampling and (center, context)
+pairs come from one vectorized
+:func:`~repro.embedding.skipgram.sentence_pairs` call over sentences
+read straight from the walk matrix, not one call per sentence.
+``batch_sentences=1`` is the sentence-at-a-time baseline, so the Fig. 5
+sweep is a single code path; ``objective`` picks negative sampling
+(:class:`SkipGramModel`) or hierarchical softmax
+(:class:`HierarchicalSoftmaxModel`).
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from repro.observability import get_recorder
 from repro.rng import SeedLike, make_rng
 from repro.embedding.hsoftmax import HierarchicalSoftmaxModel
 from repro.embedding.negative import NegativeSampler
-from repro.embedding.skipgram import SkipGramModel, generate_pairs
+from repro.embedding.skipgram import SkipGramModel, sentence_pairs
 from repro.embedding.trainer import (
     SgnsConfig,
     TrainerStats,
@@ -87,24 +92,24 @@ class BatchedSgnsTrainer:
         vocab = Vocabulary.from_corpus(corpus, num_nodes)
         if model is None:
             model = self.new_model(vocab, rng)
-        sentences = list(corpus.sentences(min_length=2))
-        stats = self.fit(sentences, vocab, model, rng)
+        stats = self.fit(corpus, vocab, model, rng)
         self.last_stats = stats
         publish_trainer_stats(stats)
         return model
 
     def fit(
         self,
-        sentences: list[np.ndarray],
+        corpus: WalkCorpus,
         vocab: Vocabulary,
         model: Model,
         rng: np.random.Generator,
     ) -> TrainerStats:
-        """Train ``model`` in place over ``sentences``; returns the stats.
+        """Train ``model`` in place over ``corpus``; returns the stats.
 
-        ``vocab`` supplies the negative-sampling and subsampling
-        distributions.  The stats are returned, not published;
-        :meth:`train` publishes them.
+        The sentences are the walks of >= 2 nodes, read straight from
+        the corpus matrix.  ``vocab`` supplies the negative-sampling and
+        subsampling distributions.  The stats are returned, not
+        published; :meth:`train` publishes them.
         """
         cfg = self.config
         sampler = (NegativeSampler(vocab)
@@ -114,9 +119,17 @@ class BatchedSgnsTrainer:
             if cfg.subsample_threshold is not None
             else None
         )
+        # Every sentence laid end to end: sentences i..j-1 are
+        # tokens[bounds[i]:bounds[j]].
+        is_sentence = corpus.lengths >= 2
+        lengths = corpus.lengths[is_sentence]
+        rows = corpus.matrix[is_sentence]
+        tokens = rows[np.arange(rows.shape[1]) < lengths[:, None]]
+        bounds = np.concatenate(([0], np.cumsum(lengths)))
+        num_sentences = len(lengths)
         pair_fp_ops = model.pair_fp_ops(cfg)
         size = self.batch_sentences
-        total_batches = cfg.epochs * max(1, -(-len(sentences) // size))
+        total_batches = cfg.epochs * max(1, -(-num_sentences // size))
         rec = get_recorder()
         track = rec.enabled
         stats = TrainerStats()
@@ -125,35 +138,23 @@ class BatchedSgnsTrainer:
         start = time.perf_counter()
         for epoch in range(cfg.epochs):
             with rec.span("sgns_epoch", epoch=epoch, trainer="batched"):
-                for base in range(0, len(sentences), size):
-                    batch = sentences[base: base + size]
-                    centers_parts: list[np.ndarray] = []
-                    contexts_parts: list[np.ndarray] = []
-                    for sentence in batch:
-                        if keep is not None:
-                            sentence = vocab.subsample_sentence(
-                                sentence, keep, rng
-                            )
-                            if len(sentence) < 2:
-                                continue
-                        c, o = generate_pairs(
-                            sentence, cfg.window, rng, cfg.dynamic_window
-                        )
-                        if len(c):
-                            centers_parts.append(c)
-                            contexts_parts.append(o)
+                for base in range(0, num_sentences, size):
+                    stop = min(base + size, num_sentences)
+                    centers, contexts = sentence_pairs(
+                        tokens[bounds[base]:bounds[stop]],
+                        lengths[base:stop], cfg.window, rng,
+                        cfg.dynamic_window, keep,
+                    )
                     # Every visited batch advances the schedule, so the
                     # decay reaches its floor however much subsampling
                     # drops.
                     lr = self._lr(batch_index, total_batches)
                     batch_index += 1
-                    stats.sentences += len(batch)
-                    if not centers_parts:
+                    stats.sentences += stop - base
+                    if not len(centers):
                         continue
                     if track:
                         rec.observe("sgns.lr", lr)
-                    centers = np.concatenate(centers_parts)
-                    contexts = np.concatenate(contexts_parts)
                     # All pairs read one snapshot; the model's single
                     # scatter is the stale concurrent update of §V-B.
                     loss, drawn = model.train_batch(

@@ -34,32 +34,58 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def generate_pairs(
-    sentence: np.ndarray,
+def sentence_pairs(
+    tokens: np.ndarray,
+    lengths: np.ndarray,
     window: int,
     rng: np.random.Generator,
     dynamic_window: bool = True,
+    keep: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Emit (center, context) pairs from one walk.
+    """Emit (center, context) pairs from a batch of walks at once.
 
-    Mirrors word2vec: for each center position, the effective window
-    shrinks to a uniform random ``b in [1, window]`` (``dynamic_window``),
-    which implicitly weights near contexts higher.  Returns parallel
-    center/context arrays; a sentence of < 2 nodes yields no pairs.
+    ``tokens`` is the batch's sentences laid end to end and ``lengths``
+    their lengths.  Mirrors word2vec: for each center position, the
+    effective window shrinks to a uniform random ``b in [1, window]``
+    (``dynamic_window``), which implicitly weights near contexts higher,
+    and is clipped at the center's own sentence bounds.  A sentence of
+    < 2 nodes yields no pairs and draws nothing.
+
+    ``keep`` (per-node keep probabilities, see
+    :meth:`Vocabulary.keep_probabilities`) subsamples frequent nodes
+    first: one keep draw per token of the batch, then the span draws
+    for the surviving sentences.
+
+    Each draw is one call over the whole batch, which returns the
+    concatenation of per-sentence draws and leaves the generator in the
+    same state; so a one-sentence batch and, without ``keep``, a batch
+    of any size emit exactly the pairs of their sentences taken one at
+    a time.  Pair order is sentence, then center, then context.
     """
-    n = len(sentence)
-    if n < 2:
-        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    tokens = np.ascontiguousarray(tokens, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    sentence_of = np.repeat(np.arange(len(lengths)), lengths)
+    if keep is not None:
+        kept = rng.random(len(tokens)) < keep[tokens]
+        tokens = tokens[kept]
+        sentence_of = sentence_of[kept]
+        lengths = np.bincount(sentence_of, minlength=len(lengths))
+    long = lengths >= 2
+    if not long.all():
+        tokens = tokens[long[sentence_of]]
+        lengths = lengths[long]
+    n = len(tokens)
     if dynamic_window:
         spans = rng.integers(1, window + 1, size=n)
     else:
         spans = np.full(n, window, dtype=np.int64)
+    ends = np.cumsum(lengths)
     # Vectorized construction of the (center, context) stream in the
     # exact order of the natural double loop: centers ascend, and each
     # center's contexts ascend over [lo, hi) skipping the center itself.
     idx = np.arange(n, dtype=np.int64)
-    lo = np.maximum(0, idx - spans)
-    hi = np.minimum(n, idx + spans + 1)
+    lo = np.maximum(np.repeat(ends - lengths, lengths), idx - spans)
+    hi = np.minimum(np.repeat(ends, lengths), idx + spans + 1)
     counts = hi - lo - 1  # the center position is excluded
     total = int(counts.sum())
     if total == 0:
@@ -70,8 +96,22 @@ def generate_pairs(
     within = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
     context_idx = np.repeat(lo, counts) + within
     context_idx += context_idx >= center_idx  # hop over the center
-    sent = np.ascontiguousarray(sentence, dtype=np.int64)
-    return (sent[center_idx], sent[context_idx])
+    return (tokens[center_idx], tokens[context_idx])
+
+
+def generate_pairs(
+    sentence: np.ndarray,
+    window: int,
+    rng: np.random.Generator,
+    dynamic_window: bool = True,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Emit (center, context) pairs from one walk.
+
+    The one-sentence case of :func:`sentence_pairs`; a sentence of < 2
+    nodes yields no pairs and draws nothing.
+    """
+    return sentence_pairs(sentence, [len(sentence)], window, rng,
+                          dynamic_window)
 
 
 class SkipGramModel:

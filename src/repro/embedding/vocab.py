@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import EmbeddingError
-from repro.rng import SeedLike, make_rng
 from repro.walk.corpus import WalkCorpus
 
 
@@ -66,14 +65,3 @@ class Vocabulary:
             ratio = threshold / np.where(freq > 0, freq, 1.0)
             keep = np.sqrt(ratio) + ratio
         return np.minimum(1.0, np.where(freq > 0, keep, 1.0))
-
-    def subsample_sentence(
-        self,
-        sentence: np.ndarray,
-        keep_probs: np.ndarray,
-        rng_or_seed: SeedLike = None,
-    ) -> np.ndarray:
-        """Drop frequent nodes from one sentence per ``keep_probs``."""
-        rng = make_rng(rng_or_seed)
-        mask = rng.random(len(sentence)) < keep_probs[sentence]
-        return sentence[mask]

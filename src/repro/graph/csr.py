@@ -13,6 +13,11 @@ timestamp.  That ordering is the load-bearing optimization: the temporal
 neighborhood "edges of ``u`` with timestamp greater than the current walk
 time" becomes a single binary search (``searchsorted``) plus a contiguous
 slice, which is what makes Algorithm 1's inner sampling step cheap.
+
+A growing graph does not re-sort: :meth:`TemporalGraph.merged` places
+appended edges into a snapshot by a binary search per edge and returns
+the CSR that :meth:`TemporalGraph.from_edge_list` would build from all
+the edges.
 """
 
 from __future__ import annotations
@@ -21,6 +26,47 @@ import numpy as np
 
 from repro.errors import GraphError
 from repro.graph.edges import TemporalEdgeList
+
+
+def search_slices(
+    values: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    targets: np.ndarray,
+    strict: bool = True,
+) -> tuple[np.ndarray, int]:
+    """First index per ``[lo, hi)`` range whose value exceeds its target.
+
+    ``values`` must ascend within each range.  ``strict`` seeks
+    ``value > target`` (``searchsorted`` ``side="right"``); otherwise
+    ``value >= target`` (``side="left"``).  One vectorized binary search
+    over every range at once; returns ``hi`` where no value qualifies,
+    plus the iteration count.
+    """
+    lo = lo.copy()
+    hi = hi.copy()
+    iters = 0
+    searching = lo < hi
+    while searching.any():
+        iters += 1
+        mid = (lo + hi) >> 1
+        go_right = np.zeros(len(lo), dtype=bool)
+        if strict:
+            go_right[searching] = values[mid[searching]] <= targets[searching]
+        else:
+            go_right[searching] = values[mid[searching]] < targets[searching]
+        lo = np.where(searching & go_right, mid + 1, lo)
+        hi = np.where(searching & ~go_right, mid, hi)
+        searching = lo < hi
+    return lo, iters
+
+
+def _adjacency_order(edges: TemporalEdgeList) -> np.ndarray:
+    """Edge order grouped by source, then timestamp, ties in input order."""
+    # Sort by timestamp first, then stably by source, so ties keep the
+    # timestamp order.
+    order = np.argsort(edges.timestamps, kind="stable")
+    return order[np.argsort(edges.src[order], kind="stable")]
 
 
 class TemporalGraph:
@@ -63,12 +109,39 @@ class TemporalGraph:
         counts = np.bincount(edges.src, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        # Group by source then timestamp with one stable lexsort-style pass:
-        # sort by timestamp first, then stably by source, so ties keep the
-        # timestamp order.
-        order = np.argsort(edges.timestamps, kind="stable")
-        order = order[np.argsort(edges.src[order], kind="stable")]
+        order = _adjacency_order(edges)
         return cls(indptr, edges.dst[order], edges.timestamps[order], validate=False)
+
+    def merged(self, edges: TemporalEdgeList) -> "TemporalGraph":
+        """A new graph holding this one's edges followed by ``edges``.
+
+        Byte-equal to :meth:`from_edge_list` over this graph's edge list
+        followed by ``edges``, with ``max(num_nodes, edges.num_nodes)``
+        nodes, but without sorting the existing edges: the new edges are
+        sorted among themselves, each finds its slot in its source's
+        time-sorted slice by binary search (``side="right"``, so an
+        existing edge stays ahead of a new one with the same timestamp),
+        and one ``np.insert`` copies the arrays.  That is
+        O(Δ log Δ + Δ log d) plus an O(E) copy.  ``self`` is not
+        modified, so readers holding it keep a consistent snapshot.
+        """
+        n = max(self.num_nodes, edges.num_nodes)
+        indptr = np.concatenate(
+            (self.indptr, np.full(n - self.num_nodes, self.indptr[-1]))
+        )
+        order = _adjacency_order(edges)
+        src = edges.src[order]
+        ts = edges.timestamps[order]
+        slots, _ = search_slices(self.ts, indptr[src], indptr[src + 1], ts)
+        # NaN compares false, but sorts last: a NaN stamp goes at the end.
+        slots = np.where(np.isnan(ts), indptr[src + 1], slots)
+        indptr[1:] += np.cumsum(np.bincount(src, minlength=n))
+        return TemporalGraph(
+            indptr,
+            np.insert(self.dst, slots, edges.dst[order]),
+            np.insert(self.ts, slots, ts),
+            validate=False,
+        )
 
     def _validate(self) -> None:
         if self.indptr.ndim != 1 or len(self.indptr) < 1:

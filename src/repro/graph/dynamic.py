@@ -5,10 +5,12 @@ graph evolves over time.  With this evolution, an entire pipeline needs
 to run to account for new nodes/connections."  This module provides the
 evolving-graph substrate for that scenario:
 
-- :class:`DynamicTemporalGraph` buffers appended temporal edges and
-  rebuilds its CSR snapshot lazily (amortized over batches of
-  insertions, the way a deployment would re-index between pipeline
-  runs);
+- :class:`DynamicTemporalGraph` buffers appended temporal edges and,
+  when its CSR snapshot is next read, merges the edges appended since
+  the last snapshot into it (:meth:`TemporalGraph.merged`: the new
+  edges are sorted and binary-searched into place, the existing ones
+  are never re-sorted), so a read after a batch costs that batch, not
+  the graph;
 - :meth:`DynamicTemporalGraph.affected_nodes` reports which nodes'
   temporal neighborhoods changed since a marker, so callers can re-walk
   only those instead of the whole graph (the incremental alternative to
@@ -129,9 +131,9 @@ class DynamicTemporalGraph:
         """Append a batch of edges; returns the new generation marker.
 
         Appended edges may introduce new node ids (the node set grows).
-        Timestamps need not be later than existing ones — the rebuilt
-        CSR re-sorts every adjacency — though deployments typically
-        append in time order.
+        Timestamps need not be later than existing ones — the next
+        :meth:`graph` merges each edge into its time-sorted slot —
+        though deployments typically append in time order.
         """
         if len(new_edges) == 0:
             return self.generation
@@ -139,7 +141,6 @@ class DynamicTemporalGraph:
             self._edges = TemporalEdgeList.concatenate(
                 [self._edges, new_edges]
             )
-            self._snapshot = None
             self._generation += 1
             generation = self._generation
             self._marker_edge_counts[generation] = len(self._edges)
@@ -159,13 +160,22 @@ class DynamicTemporalGraph:
         return generation
 
     def graph(self) -> TemporalGraph:
-        """Current CSR snapshot (rebuilt lazily after appends)."""
+        """Current CSR snapshot, equal to ``from_edge_list(edge_list())``.
+
+        The first call builds it; after appends, the edges appended
+        since the last snapshot are merged into a new one.  A returned
+        snapshot is never modified, so a reader may keep using it.
+        """
         with self._lock:
-            if self._snapshot is None or (
-                self._snapshot.num_nodes != self._edges.num_nodes
-            ):
-                self._snapshot = TemporalGraph.from_edge_list(self._edges)
-            return self._snapshot
+            snapshot, edges = self._snapshot, self._edges
+            if snapshot is None:
+                snapshot = TemporalGraph.from_edge_list(edges)
+            elif snapshot.num_edges < len(edges):
+                snapshot = snapshot.merged(
+                    edges.take(np.arange(snapshot.num_edges, len(edges)))
+                )
+            self._snapshot = snapshot
+            return snapshot
 
     def edge_list(self) -> TemporalEdgeList:
         """The full edge stream accumulated so far."""

@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.errors import WalkError
-from repro.graph.csr import TemporalGraph
+from repro.graph.csr import TemporalGraph, search_slices
 from repro.observability import get_recorder
 from repro.rng import SeedLike, make_rng
 from repro.walk.config import WalkConfig
@@ -409,23 +409,7 @@ class TemporalWalkEngine:
         ``strict`` seeks ``ts > threshold``; otherwise ``ts >= threshold``.
         Vectorized binary search; returns the bound and iteration count.
         """
-        ts = self.graph.ts
-        lo = lo.copy()
-        hi = hi.copy()
-        iters = 0
-        searching = lo < hi
-        while searching.any():
-            iters += 1
-            mid = (lo + hi) >> 1
-            go_right = np.zeros(len(lo), dtype=bool)
-            if strict:
-                go_right[searching] = ts[mid[searching]] <= thresholds[searching]
-            else:
-                go_right[searching] = ts[mid[searching]] < thresholds[searching]
-            lo = np.where(searching & go_right, mid + 1, lo)
-            hi = np.where(searching & ~go_right, mid, hi)
-            searching = lo < hi
-        return lo, iters
+        return search_slices(self.graph.ts, lo, hi, thresholds, strict)
 
     def _valid_range(
         self,
@@ -629,19 +613,7 @@ class TemporalWalkEngine:
         ``[lo, hi)`` per walk; returns ``hi`` where no value qualifies,
         plus the iteration count (the ``cdf`` sampler's work counter).
         """
-        lo = lo.copy()
-        hi = hi.copy()
-        iters = 0
-        searching = lo < hi
-        while searching.any():
-            iters += 1
-            mid = (lo + hi) >> 1
-            go_right = np.zeros(len(lo), dtype=bool)
-            go_right[searching] = values[mid[searching]] <= targets[searching]
-            lo = np.where(searching & go_right, mid + 1, lo)
-            hi = np.where(searching & ~go_right, mid, hi)
-            searching = lo < hi
-        return lo, iters
+        return search_slices(values, lo, hi, targets)
 
     def _sample_step_cdf(
         self,

@@ -108,14 +108,15 @@ class TestSchedulerEdgeCases:
 
 
 class TestVocabEdgeCases:
-    def test_subsample_preserves_order(self, rng):
-        from repro.embedding.vocab import Vocabulary
+    def test_keep_all_subsampling_preserves_pairs(self, rng):
+        from repro.embedding.skipgram import generate_pairs, sentence_pairs
 
-        vocab = Vocabulary(np.array([10, 10, 10]))
         keep = np.ones(3)  # keep everything
         sentence = np.array([2, 0, 1, 2])
-        out = vocab.subsample_sentence(sentence, keep, rng)
-        assert np.array_equal(out, sentence)
+        c, o = sentence_pairs(sentence, [4], 2, rng, dynamic_window=False,
+                              keep=keep)
+        c_all, o_all = generate_pairs(sentence, 2, rng, dynamic_window=False)
+        assert np.array_equal(c, c_all) and np.array_equal(o, o_all)
 
 
 class TestWelFormatting:

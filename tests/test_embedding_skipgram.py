@@ -2,9 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import EmbeddingError
-from repro.embedding.skipgram import SkipGramModel, generate_pairs, sigmoid
+from repro.embedding.skipgram import (
+    SkipGramModel,
+    generate_pairs,
+    sentence_pairs,
+    sigmoid,
+)
 
 
 class TestSigmoid:
@@ -125,6 +132,119 @@ class TestGeneratePairsVectorized:
         fast = best_of(generate_pairs)
         slow = best_of(_reference_generate_pairs)
         assert fast * 2 < slow
+
+
+def _batch(sentences):
+    """``sentence_pairs``'s input: tokens end to end, and the lengths."""
+    lengths = np.array([len(s) for s in sentences], dtype=np.int64)
+    return np.concatenate(sentences), lengths
+
+
+def _reference_subsampled_pairs(sentences, keep, window, rng,
+                                dynamic_window):
+    """The per-sentence subsample-then-pairs loop: each sentence draws
+    its keep mask, then (if >= 2 nodes survive) its window spans."""
+    centers, contexts = [], []
+    for sentence in sentences:
+        sentence = sentence[rng.random(len(sentence)) < keep[sentence]]
+        if len(sentence) < 2:
+            continue
+        c, o = _reference_generate_pairs(sentence, window, rng,
+                                         dynamic_window)
+        centers.append(c)
+        contexts.append(o)
+    empty = np.empty(0, dtype=np.int64)
+    return (np.concatenate([empty] + centers),
+            np.concatenate([empty] + contexts))
+
+
+sentence_batches = st.lists(
+    st.one_of(
+        st.just(2),  # the dominant walk length on temporal graphs
+        st.integers(min_value=2, max_value=12),
+    ),
+    min_size=1, max_size=64,
+)
+
+
+@pytest.mark.kernels
+class TestSentencePairsOracle:
+    """The batch pair builder is the per-sentence double loop run over
+    every sentence of the batch in turn: same pairs, same order, and
+    the generator left in the same state."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(lengths=sentence_batches,
+           window=st.integers(min_value=1, max_value=8),
+           dynamic=st.booleans(),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_batch_equals_per_sentence_loop(self, lengths, window,
+                                            dynamic, seed):
+        vocab = np.random.default_rng(seed)
+        sentences = [vocab.integers(0, 30, size=n) for n in lengths]
+        rng_new = np.random.default_rng(seed + 1)
+        rng_ref = np.random.default_rng(seed + 1)
+        c_new, o_new = sentence_pairs(*_batch(sentences), window, rng_new,
+                                      dynamic_window=dynamic)
+        parts = [_reference_generate_pairs(s, window, rng_ref, dynamic)
+                 for s in sentences]
+        assert c_new.tobytes() == np.concatenate([c for c, _ in parts]
+                                                 ).tobytes()
+        assert o_new.tobytes() == np.concatenate([o for _, o in parts]
+                                                 ).tobytes()
+        assert rng_new.integers(0, 2**62) == rng_ref.integers(0, 2**62)
+
+    @settings(max_examples=60, deadline=None)
+    @given(lengths=sentence_batches,
+           window=st.integers(min_value=1, max_value=8),
+           dynamic=st.booleans(),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_subsampled_one_sentence_batches_keep_per_sentence_order(
+            self, lengths, window, dynamic, seed):
+        # At one sentence per batch the keep draw and the span draw
+        # interleave per sentence, exactly as subsampling always did.
+        vocab = np.random.default_rng(seed)
+        sentences = [vocab.integers(0, 30, size=n) for n in lengths]
+        keep = vocab.random(30)
+        rng_new = np.random.default_rng(seed + 1)
+        rng_ref = np.random.default_rng(seed + 1)
+        parts = [sentence_pairs(s, [len(s)], window, rng_new, dynamic,
+                                keep=keep) for s in sentences]
+        c_ref, o_ref = _reference_subsampled_pairs(sentences, keep, window,
+                                                   rng_ref, dynamic)
+        assert np.concatenate([c for c, _ in parts]).tobytes() == \
+            c_ref.tobytes()
+        assert np.concatenate([o for _, o in parts]).tobytes() == \
+            o_ref.tobytes()
+        assert rng_new.integers(0, 2**62) == rng_ref.integers(0, 2**62)
+
+    def test_subsampled_batch_draws_keep_mask_then_spans(self):
+        # A larger subsampled batch draws every keep decision first,
+        # then the spans of the surviving sentences.
+        sentences = [np.array([0, 1, 2]), np.array([3, 4]),
+                     np.array([5, 6, 7, 8])]
+        keep = np.full(9, 0.7)
+        rng = np.random.default_rng(3)
+        kept = rng.random(9) < 0.7
+        ends = np.cumsum([3, 2, 4])
+        survivors = [s[m] for s, m in zip(sentences,
+                                          np.split(kept, ends[:-1]))]
+        expected = [_reference_generate_pairs(s, 3, rng) for s in survivors]
+        c, o = sentence_pairs(*_batch(sentences), 3,
+                              np.random.default_rng(3), keep=keep)
+        assert np.array_equal(c, np.concatenate([e[0] for e in expected]))
+        assert np.array_equal(o, np.concatenate([e[1] for e in expected]))
+
+    def test_short_sentences_draw_nothing(self):
+        sentences = [np.array([4]), np.array([1, 2, 3]),
+                     np.array([], dtype=np.int64), np.array([7, 8])]
+        rng_new = np.random.default_rng(5)
+        rng_ref = np.random.default_rng(5)
+        c, o = sentence_pairs(*_batch(sentences), 2, rng_new)
+        parts = [_reference_generate_pairs(s, 2, rng_ref) for s in sentences]
+        assert np.array_equal(c, np.concatenate([p[0] for p in parts]))
+        assert np.array_equal(o, np.concatenate([p[1] for p in parts]))
+        assert rng_new.random() == rng_ref.random()
 
 
 class TestSkipGramModel:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import EmbeddingError
+from repro.embedding.skipgram import sentence_pairs
 from repro.embedding.vocab import Vocabulary
 from repro.walk.corpus import PAD, WalkCorpus
 
@@ -48,13 +49,16 @@ class TestVocabulary:
         assert keep[1] == 1.0     # rare node always kept
         assert keep[2] == 1.0     # absent node untouched
 
-    def test_subsample_sentence_drops_frequent(self, rng):
+    def test_subsampled_pairs_drop_frequent(self, rng):
         vocab = Vocabulary(np.array([1000000, 1]))
         keep = vocab.keep_probabilities(1e-5)
-        sentence = np.array([0] * 200 + [1])
-        kept = vocab.subsample_sentence(sentence, keep, rng)
-        assert len(kept) < 100
-        assert 1 in kept
+        sentence = np.array([0] * 200 + [1, 1])
+        centers, _ = sentence_pairs(sentence, [len(sentence)], 1, rng,
+                                    dynamic_window=False, keep=keep)
+        # A window of 1 over k surviving nodes gives 2(k - 1) pairs;
+        # the rare node always survives.
+        assert len(centers) < 2 * 99
+        assert 1 in centers
 
     def test_empty_corpus_total(self):
         vocab = Vocabulary(np.zeros(3, dtype=int))

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphError
+from repro.graph.csr import TemporalGraph
 from repro.graph.dynamic import DynamicTemporalGraph
 from repro.graph.edges import TemporalEdgeList
 
@@ -78,6 +81,57 @@ class TestDynamicGraph:
         dynamic = DynamicTemporalGraph(batch([(0, 1, 0.1)]), num_nodes=10)
         assert dynamic.num_nodes == 10
         assert dynamic.graph().num_nodes == 10
+
+
+# Few distinct stamps, so ties with existing edges and within a batch
+# are common; negative ones land before everything already stored, and
+# NaN (which sorts last) after it.
+stamps = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, np.nan]),
+                   st.floats(-5.0, 5.0, allow_nan=False))
+edge_batches = st.tuples(
+    st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11), stamps),
+             min_size=1, max_size=8),
+    st.integers(0, 2),  # declared nodes beyond the largest id
+)
+# An op is an append (a batch) or a graph() read (None).
+merge_ops = st.lists(st.one_of(edge_batches, st.none()),
+                     min_size=1, max_size=25)
+
+
+def arrays(graph):
+    return (graph.indptr.tobytes(), graph.dst.tobytes(), graph.ts.tobytes())
+
+
+@pytest.mark.kernels
+class TestSnapshotMergeOracle:
+    """``graph()`` merges appends into the last snapshot; it must equal
+    a from-scratch ``from_edge_list`` over the whole edge list, byte
+    for byte, and never touch a snapshot a reader already holds."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(initial=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                                      stamps), max_size=6),
+           extra_nodes=st.integers(0, 2), ops=merge_ops)
+    def test_merged_snapshot_equals_fresh_build(self, initial, extra_nodes,
+                                                ops):
+        edges = TemporalEdgeList.from_edges(initial)
+        dynamic = DynamicTemporalGraph(
+            edges, num_nodes=edges.num_nodes + extra_nodes)
+        held = []
+        for op in ops + [None]:
+            if op is not None:
+                rows, extra = op
+                new = TemporalEdgeList.from_edges(rows)
+                dynamic.append(TemporalEdgeList(
+                    new.src, new.dst, new.timestamps,
+                    num_nodes=new.num_nodes + extra))
+                continue
+            graph = dynamic.graph()
+            fresh = TemporalGraph.from_edge_list(dynamic.edge_list())
+            assert arrays(graph) == arrays(fresh)
+            held.append((graph, arrays(graph)))
+            for snapshot, frozen in held:
+                assert arrays(snapshot) == frozen
 
 
 class TestSubscribers:
