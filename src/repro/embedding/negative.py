@@ -2,9 +2,10 @@
 
 word2vec draws "negative" context nodes from the smoothed unigram
 distribution ``P(w) proportional to count(w)^0.75``.  We implement the
-draw with Walker's alias method — O(V) build, O(1) per sample — which is
-also a reusable substrate (the hardware models use it for synthetic
-address streams).
+draw with Walker's alias method: O(1) per sample, and a build that takes
+O(nonzero weights) interpreter steps plus O(V) vectorised work, because
+a trainer rebuilds the table on every call and an online refresh trains
+a vocabulary that is mostly zero-count nodes.
 """
 
 from __future__ import annotations
@@ -19,17 +20,21 @@ from repro.embedding.vocab import Vocabulary
 class AliasTable:
     """Walker alias method for O(1) categorical sampling.
 
-    Build from any non-negative weight vector; ``sample(n, rng)`` draws
-    ``n`` iid indices with probability proportional to the weights.
+    Build from any finite non-negative weight vector; ``sample(n, rng)``
+    draws ``n`` iid indices with probability proportional to the weights.
     """
 
     def __init__(self, weights: np.ndarray) -> None:
         weights = np.ascontiguousarray(weights, dtype=np.float64)
         if weights.ndim != 1 or len(weights) == 0:
             raise EmbeddingError("weights must be a non-empty 1-D array")
+        if not np.isfinite(weights).all():
+            raise EmbeddingError("weights must be finite (no NaN or inf)")
         if weights.min() < 0:
             raise EmbeddingError("weights must be non-negative")
         total = weights.sum()
+        if not np.isfinite(total):
+            raise EmbeddingError("weights must have a finite sum")
         if total <= 0:
             raise EmbeddingError("weights must not all be zero")
         n = len(weights)
@@ -37,22 +42,73 @@ class AliasTable:
         self.prob = np.ones(n, dtype=np.float64)
         self.alias = np.arange(n, dtype=np.int64)
 
-        small = [i for i in range(n) if prob[i] < 1.0]
-        large = [i for i in range(n) if prob[i] >= 1.0]
-        while small and large:
-            s = small.pop()
-            l = large.pop()
-            self.prob[s] = prob[s]
-            self.alias[s] = l
-            prob[l] = prob[l] - (1.0 - prob[s])
-            if prob[l] < 1.0:
-                small.append(l)
+        # Vose's method with its stacks kept implicit: ``small`` and
+        # ``large`` are ascending and popped from the end, and a large
+        # that drops below 1 is pushed and popped next, so each stack is
+        # its sorted prefix plus at most one node on top.  Leftovers keep
+        # prob 1.0 and their own index.
+        small = np.flatnonzero(prob < 1.0)
+        large = np.flatnonzero(prob >= 1.0)
+        # Zero-probability smalls come in runs between the nonzero ones
+        # (at positions ``nz_pos`` of ``small``).  A zero's deficit is
+        # exactly 1.0, and ``v - 1.0`` is exact for 1 <= v < 2**53 (v
+        # never exceeds about n), so a large of value ``v`` absorbs
+        # ``take = min(run, floor(v))`` zeros in one step and is left
+        # with exactly ``v - take``, as the one-at-a-time loop leaves it.
+        nz_pos = np.flatnonzero(prob[small] != 0.0)
+        nz_val = prob[small[nz_pos]].tolist()
+        nz_pos = nz_pos.tolist()
+        large_val = prob[large].tolist()
+        large = large.tolist()
+        # Each pop from ``small`` (a zero run, or one nonzero) in order.
+        chunk_len: list[int] = []
+        chunk_alias: list[int] = []
+        # Each large that dropped below 1: (node, residual, alias).
+        res_idx: list[int] = []
+        res_prob: list[float] = []
+        res_alias: list[int] = []
+        top = len(small)          # small[:top] are still on the stack
+        k = len(nz_pos) - 1       # nz_pos[k] is the highest below top
+        li = len(large)           # large[:li] are still on the stack
+        pending = -1              # a former large below 1, popped next
+        pending_v = 0.0
+        cur = -1                  # the large on top, with value v
+        v = 0.0
+        while pending >= 0 or top > 0:
+            if cur < 0:
+                if li == 0:
+                    break
+                li -= 1
+                cur = large[li]
+                v = large_val[li]
+            if pending >= 0:
+                res_idx.append(pending)
+                res_prob.append(pending_v)
+                res_alias.append(cur)
+                v = v - (1.0 - pending_v)
+                pending = -1
+            elif k >= 0 and nz_pos[k] == top - 1:
+                chunk_len.append(1)
+                chunk_alias.append(cur)
+                v = v - (1.0 - nz_val[k])
+                k -= 1
+                top -= 1
             else:
-                large.append(l)
-        # Leftovers are 1.0 within float error; keep their own index.
-        for i in small + large:
-            self.prob[i] = 1.0
-            self.alias[i] = i
+                run = top - 1 - (nz_pos[k] if k >= 0 else -1)
+                take = min(run, int(v))
+                chunk_len.append(take)
+                chunk_alias.append(cur)
+                v = v - take
+                top -= take
+            if v < 1.0:
+                pending = cur
+                pending_v = v
+                cur = -1
+        popped = small[top:][::-1]
+        self.prob[popped] = prob[popped]
+        self.alias[popped] = np.repeat(chunk_alias, chunk_len)
+        self.prob[res_idx] = res_prob
+        self.alias[res_idx] = res_alias
 
     def __len__(self) -> int:
         return len(self.prob)

@@ -289,10 +289,23 @@ class SkipGramModel:
             raise EmbeddingError(
                 f"update must be one of {UPDATE_MODES}; got {update!r}"
             )
-        uniq, inverse = np.unique(rows, return_inverse=True)
-        acc = np.zeros((len(uniq), matrix.shape[1]), dtype=np.float64)
-        np.add.at(acc, inverse, grads)
-        counts = np.bincount(inverse)
+        if not len(rows):
+            return  # bincount of no weights would be an int array
+        # ``np.unique(rows, return_inverse=True)`` and its counts, read
+        # off one histogram over the matrix rows.
+        hist = np.bincount(rows, minlength=matrix.shape[0])
+        present = hist > 0
+        uniq = np.flatnonzero(present)
+        inverse = (np.cumsum(present) - 1)[rows]
+        counts = hist[uniq]
+        # ``np.add.at(acc, inverse, grads)`` as one weighted bincount:
+        # each bin sums its contributions into zero in input order, as
+        # ``add.at`` does, so the sums are the same bytes.
+        d = matrix.shape[1]
+        acc = np.bincount(
+            (inverse[:, None] * d + np.arange(d)).ravel(),
+            weights=grads.ravel(), minlength=len(uniq) * d,
+        ).reshape(len(uniq), d)
         if update == "mean":
             acc /= counts[:, None]
         elif update == "sqrt":

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import EmbeddingError
+from repro.embedding.trainer import UPDATE_MODES
 from repro.embedding.skipgram import (
     SkipGramModel,
     generate_pairs,
@@ -397,3 +398,59 @@ class TestApplyBatchModes:
         model, c, o, n, (gc, go, gn) = self.setup_pairs()
         with pytest.raises(EmbeddingError):
             model.apply_batch(c, o, n, gc, go, gn, lr=0.1, update="bogus")
+
+
+def _reference_scatter(matrix, rows, grads, lr, update, cap):
+    """The scatter as ``np.unique`` + ``np.add.at``: the oracle."""
+    uniq, inverse = np.unique(rows, return_inverse=True)
+    acc = np.zeros((len(uniq), matrix.shape[1]), dtype=np.float64)
+    np.add.at(acc, inverse, grads)
+    counts = np.bincount(inverse)
+    if update == "mean":
+        acc /= counts[:, None]
+    elif update == "sqrt":
+        acc /= np.sqrt(counts)[:, None]
+    elif update == "capped":
+        acc /= np.maximum(1.0, counts / cap)[:, None]
+    matrix[uniq] -= lr * acc
+
+
+@pytest.mark.kernels
+class TestScatterOracle:
+    """The bincount scatter leaves the matrix byte-equal to the
+    ``np.add.at`` reference in every combining mode."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(update=st.sampled_from(UPDATE_MODES),
+           dim=st.sampled_from([1, 8, 64]),
+           num_rows=st.integers(min_value=1, max_value=400),
+           shape=st.sampled_from(["zipf", "few", "single", "uniform"]),
+           size=st.integers(min_value=1, max_value=3000),
+           cap=st.integers(min_value=1, max_value=16),
+           lr=st.floats(min_value=1e-4, max_value=1.0),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_equals_add_at(self, update, dim, num_rows, shape, size, cap,
+                           lr, seed):
+        rng = np.random.default_rng(seed)
+        if shape == "zipf":  # hub rows hit thousands of times
+            rows = (rng.zipf(1.3, size) - 1) % num_rows
+        elif shape == "few":
+            rows = rng.choice(rng.integers(0, num_rows, 3), size)
+        elif shape == "single":
+            rows = rng.integers(0, num_rows, 1)
+        else:
+            rows = rng.integers(0, num_rows, size)
+        rows = rows.astype(np.int64)
+        grads = rng.normal(0.0, 1.0, (len(rows), dim))
+        matrix = rng.normal(0.0, 0.1, (num_rows, dim))
+        expected = matrix.copy()
+        _reference_scatter(expected, rows, grads, lr, update, cap)
+        SkipGramModel._scatter(matrix, rows, grads, lr, update, cap)
+        assert matrix.tobytes() == expected.tobytes()
+
+    def test_empty_batch_leaves_matrix(self):
+        matrix = np.arange(12, dtype=np.float64).reshape(4, 3)
+        before = matrix.copy()
+        SkipGramModel._scatter(matrix, np.zeros(0, dtype=np.int64),
+                               np.zeros((0, 3)), 0.5, "capped", 8)
+        assert matrix.tobytes() == before.tobytes()

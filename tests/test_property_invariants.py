@@ -150,10 +150,15 @@ class TestSamplingProperties:
         assert probs.sum() == pytest.approx(1.0)
         assert np.all(probs >= 0)
 
-    @given(hnp.arrays(np.float64, st.integers(1, 30),
-                      elements=st.floats(0.001, 100.0, allow_nan=False)))
-    @settings(max_examples=60, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(1, 60),
+                      elements=st.one_of(
+                          st.just(0.0),
+                          st.floats(0.001, 100.0, allow_nan=False))))
+    @settings(max_examples=100, deadline=None)
     def test_alias_table_exact(self, weights):
+        # Zero weights included: they take the build's zero-run path.
+        if not weights.any():
+            weights[0] = 1.0
         table = AliasTable(weights)
         expected = weights / weights.sum()
         assert np.allclose(table.probabilities(), expected, atol=1e-9)
