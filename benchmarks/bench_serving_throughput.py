@@ -7,14 +7,15 @@ eliminates GEMM work entirely on warm hits.  This bench measures both
 claims with the closed-loop load generator against the same embedding
 snapshot:
 
-- ``single``  — ``max_batch_size=1``, no cache: every request is its own
-  batch (the degenerate baseline);
+- ``single``  — ``max_batch_size=1``, no cache: every link score is its
+  own batch (the degenerate baseline);
 - ``batched`` — micro-batching on, no cache: isolates the batching win;
-- ``cached``  — micro-batching + LRU top-k cache under a hot-skewed
-  workload: adds the memoization win.
+  top-k never batches, so its ``batched`` row is the shared-pass scan;
+- ``cached``  — LRU top-k cache on under a hot-skewed workload: adds
+  the memoization win.
 
 Reported per config: achieved QPS, client-side latency percentiles,
-mean flush size, and GEMM rows evaluated.  Saved to
+mean link-score flush size, and GEMM rows evaluated.  Saved to
 ``bench_results/serving_throughput.json``.
 """
 
@@ -82,7 +83,8 @@ def _row(name, workload, report, recorder):
         "qps": round(report.qps, 1),
         "p50 ms": round(report.p50_ms, 3),
         "p99 ms": round(report.p99_ms, 3),
-        "mean batch": round(batch_hist.mean, 2) if batch_hist else 0.0,
+        "mean link batch": (round(batch_hist.mean, 2) if batch_hist
+                            else 0.0),
         "gemm rows": int(
             recorder.counters.get("serving.index.gemm_rows", 0)
         ),

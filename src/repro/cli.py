@@ -914,8 +914,10 @@ def _run_sim(args: argparse.Namespace) -> int:
                 "served generation": int(store.generation),
                 "cache hit rate": (round(hits / (hits + misses), 3)
                                    if hits + misses else 0.0),
-                "mean batch": (round(batch_hist.mean, 2)
-                               if batch_hist else 0.0),
+                # Only link scores are micro-batched; top-k scans per
+                # request.
+                "mean link batch": (round(batch_hist.mean, 2)
+                                    if batch_hist else 0.0),
                 "gemm rows": int(counters.get("serving.index.gemm_rows", 0)),
             }], "Serving internals (recorder)"))
             if args.index == "ivf":
@@ -980,10 +982,11 @@ def _add_load_arguments(group, clients: int, requests: int) -> None:
 def _add_frontend_arguments(group) -> None:
     """Micro-batching, cache and index knobs of the serving frontend."""
     group.add_argument("--max-batch-size", type=int, default=64,
-                       help="micro-batch size cap (1 = single-request "
-                            "baseline)")
+                       help="link-score micro-batch size cap "
+                            "(1 = single-request baseline)")
     group.add_argument("--max-delay-ms", type=float, default=2.0,
-                       help="micro-batch max wait in milliseconds")
+                       help="link-score micro-batch max wait in "
+                            "milliseconds")
     group.add_argument("--cache-size", type=int, default=4096,
                        help="top-k LRU cache entries (0 disables)")
     group.add_argument("--index", default="exact",

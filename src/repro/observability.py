@@ -40,6 +40,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 import time
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator
@@ -226,7 +227,12 @@ class _NullSpan:
 
 
 class Recorder:
-    """Process-local metrics registry plus span-based tracing."""
+    """Process-local metrics registry plus span-based tracing.
+
+    ``counter``, ``gauge`` and ``observe`` hold one lock: serving
+    client threads update the same metrics concurrently, and an
+    unlocked read-add-write loses increments.
+    """
 
     enabled = True
 
@@ -236,6 +242,7 @@ class Recorder:
         self.counters: dict[str, float] = {}
         self.gauges: dict[str, float] = {}
         self.histograms: dict[str, Histogram] = {}
+        self._lock = threading.Lock()
         self._roots: list[Span] = []
         self._stack: list[Span] = []
         self._next_id = 1
@@ -243,18 +250,21 @@ class Recorder:
     # -- metrics -------------------------------------------------------
     def counter(self, name: str, value: float = 1.0) -> None:
         """Add ``value`` to the monotone counter ``name``."""
-        self.counters[name] = self.counters.get(name, 0.0) + value
+        with self._lock:
+            self.counters[name] = self.counters.get(name, 0.0) + value
 
     def gauge(self, name: str, value: float) -> None:
         """Set the last-value gauge ``name``."""
-        self.gauges[name] = float(value)
+        with self._lock:
+            self.gauges[name] = float(value)
 
     def observe(self, name: str, value: float) -> None:
         """Record one observation into the histogram ``name``."""
-        hist = self.histograms.get(name)
-        if hist is None:
-            hist = self.histograms[name] = Histogram()
-        hist.observe(value)
+        with self._lock:
+            hist = self.histograms.get(name)
+            if hist is None:
+                hist = self.histograms[name] = Histogram()
+            hist.observe(value)
 
     # -- spans ---------------------------------------------------------
     def _now(self) -> float:

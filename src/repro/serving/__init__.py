@@ -8,19 +8,20 @@ ingest half already exists (:class:`~repro.graph.dynamic
 - :class:`EmbeddingStore` — versioned, atomically-swapped embedding
   snapshots keyed by graph generation (readers never block a swap and
   read consistent-but-stale data until they re-fetch);
-- :class:`BatchScheduler` — micro-batching of requests under
-  ``max_batch_size`` / ``max_delay`` knobs, amortizing per-request
-  overhead the way Fig. 5's sentence batching amortizes kernel
-  launches;
+- :class:`BatchScheduler` — micro-batching of link-score requests
+  under ``max_batch_size`` / ``max_delay`` knobs, amortizing
+  per-request overhead the way Fig. 5's sentence batching amortizes
+  kernel launches;
 - :class:`RecommendationIndex` — blocked top-k over the embedding
-  matrix with a per-``(node, k)`` LRU cache invalidated by snapshot
-  version bump;
+  matrix by one single-query kernel, with a per-``(node, k)`` LRU
+  cache invalidated by snapshot version bump;
 - :class:`IvfIndex` / :class:`IvfIndexManager` — the sub-linear IVF
   approximate top-k index (k-means cells, ``nprobe`` probing), rebuilt
   asynchronously per published snapshot with version pinning; the
   brute-force path stays the oracle and the automatic fallback;
-- :class:`ServingFrontend` — the thread-safe query surface (link
-  scores + top-k) client threads call;
+- :class:`ServingFrontend` — the thread-safe query surface client
+  threads call: batched link scores, and top-k misses that share one
+  caller-driven pass over the catalog;
 - :class:`ShardPlan` / :class:`ShardedFrontend` /
   :class:`ShardedPublisher` — the scatter/gather sharded tier: the
   embedding space partitioned across worker processes (R replicas per

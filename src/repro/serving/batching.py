@@ -49,19 +49,11 @@ class BatchFuture:
 
     __slots__ = ("_cv", "_done", "_result", "_exc")
 
-    def __init__(self, cv: threading.Condition | None) -> None:
+    def __init__(self, cv: threading.Condition) -> None:
         self._cv = cv
         self._done = False
         self._result: Any = None
         self._exc: BaseException | None = None
-
-    @classmethod
-    def resolved(cls, result: Any) -> "BatchFuture":
-        """An already-resolved future (the cache-hit fast path)."""
-        future = cls(None)
-        future._result = result
-        future._done = True
-        return future
 
     # Resolution happens inside the scheduler, which holds the shared
     # condition for the whole batch and notifies once afterwards.
@@ -80,8 +72,6 @@ class BatchFuture:
     def result(self, timeout: float | None = None) -> Any:
         """Block until resolved; returns the result or raises."""
         if not self._done:
-            if self._cv is None:
-                raise ServingError("unresolved BatchFuture has no condition")
             deadline = (None if timeout is None
                         else time.monotonic() + timeout)
             with self._cv:

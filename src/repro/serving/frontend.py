@@ -1,22 +1,28 @@
 """Thread-based serving frontend: link scores and top-k recommendations.
 
 :class:`ServingFrontend` is the in-process query surface of the online
-loop.  Client threads call :meth:`score_link` / :meth:`top_k`; requests
-flow through one :class:`~repro.serving.batching.BatchScheduler` per
-request type, so concurrent callers share vectorized evaluations, and
-top-k answers come from the :class:`~repro.serving.index
-.RecommendationIndex` (blocked scan + generation-keyed LRU cache).
+loop.  Client threads call :meth:`score_link` / :meth:`top_k`.  Link
+scores flow through a :class:`~repro.serving.batching.BatchScheduler`,
+so concurrent callers share one vectorized evaluation.  Top-k never
+waits for a batch: a cache hit answers from the
+:class:`~repro.serving.index.RecommendationIndex`'s generation-keyed
+LRU, and a miss joins the index's shared pass over one snapshot at the
+next block and leaves it after one full cycle.  Concurrent misses read
+each block from memory once, and one client thread at a time drives
+the pass, so the read path's scans take one core however many clients
+wait on them.  Every answer is bit-identical to
+:meth:`RecommendationIndex.top_k
+<repro.serving.index.RecommendationIndex.top_k>` whatever else is in
+flight.
 
-Fast path: a warm cached top-k bypasses the scheduler entirely — no
-batching delay, zero GEMM work.  With ``index="ivf"`` an
-:class:`~repro.serving.ann.IvfIndexManager` rebuilds a sub-linear IVF
-index after every publish and top-k requests route through it (with
-automatic exact fallback; a per-query ``mode=`` overrides the default
-in either direction).  Everything is instrumented through the ambient
-recorder: request counters per type, end-to-end latency histograms
-(``serving.latency.*``), cache hit/miss, batch-size distribution,
-snapshot-swap and ``serving.ann.*`` counters (see docs/serving.md for
-the catalog).
+With ``index="ivf"`` an :class:`~repro.serving.ann.IvfIndexManager`
+rebuilds a sub-linear IVF index after every publish and top-k requests
+route through it (with automatic exact fallback; a per-query ``mode=``
+overrides the default in either direction).  Everything is instrumented
+through the ambient recorder: request counters per type, end-to-end
+latency histograms (``serving.latency.*``), cache hit/miss, link-score
+batch sizes, snapshot-swap and ``serving.ann.*`` counters (see
+docs/serving.md for the catalog).
 """
 
 from __future__ import annotations
@@ -38,12 +44,13 @@ from repro.serving.store import EmbeddingStore
 class ServingConfig:
     """Knobs of the serving frontend.
 
-    ``max_batch_size`` / ``max_delay`` bound each micro-batch (see
-    :class:`BatchScheduler`); ``default_k``, ``cache_size``,
-    ``block_size`` and ``metric`` configure the recommendation index.
-    ``max_batch_size=1`` degenerates to the single-request path (every
-    request is its own batch), which is the baseline the serving bench
-    measures against.  ``index="ivf"`` routes top-k through the
+    ``max_batch_size`` / ``max_delay`` bound each link-score
+    micro-batch (see :class:`BatchScheduler`); top-k never waits for a
+    batch.  ``default_k``, ``cache_size``, ``block_size`` and
+    ``metric`` configure the recommendation index.
+    ``max_batch_size=1`` degenerates to the single-request link-score
+    path (every request is its own batch), which is the baseline the
+    serving bench measures against.  ``index="ivf"`` routes top-k through the
     approximate IVF index (built per published snapshot; ``ann`` holds
     its :class:`~repro.serving.ann.IvfConfig`, defaulted when omitted);
     ``index="exact"`` keeps the brute-force oracle as the default while
@@ -111,12 +118,8 @@ class ServingFrontend:
             max_delay=self.config.max_delay,
             name="link-score",
         )
-        self._topk_batcher = BatchScheduler(
-            self._process_topk,
-            max_batch_size=self.config.max_batch_size,
-            max_delay=self.config.max_delay,
-            name="top-k",
-        )
+        self._started = False
+        self._closed = False
 
     @property
     def num_nodes(self) -> int:
@@ -125,15 +128,19 @@ class ServingFrontend:
 
     # ------------------------------------------------------------------
     def start(self) -> "ServingFrontend":
-        """Start both schedulers (idempotent); returns self."""
+        """Start the link-score scheduler (idempotent); returns self."""
         self._score_batcher.start()
-        self._topk_batcher.start()
+        self._started = True
         return self
 
     def close(self) -> None:
-        """Drain in-flight requests and stop the schedulers."""
+        """Drain in-flight link scores and stop serving.
+
+        A top-k scan already in flight finishes; a later cache miss
+        raises :class:`ServingError`.
+        """
+        self._closed = True
         self._score_batcher.close()
-        self._topk_batcher.close()
         if self.ann is not None:
             self.ann.close()
 
@@ -183,35 +190,32 @@ class ServingFrontend:
     # ------------------------------------------------------------------
     # Top-k recommendation
     # ------------------------------------------------------------------
-    def top_k_async(self, node: int, k: int | None = None,
-                    mode: str | None = None) -> BatchFuture:
-        """Enqueue a top-k request; resolves to ``(ids, scores)``.
-
-        A warm cache hit resolves immediately without entering the
-        scheduler (no batching delay, zero GEMM work).  ``mode``
-        overrides the configured index for this one request:
-        ``"exact"`` forces the brute-force oracle (full recall),
-        ``"ivf"`` requests the approximate index (falls back to exact
-        automatically when no index matches the served snapshot).
-        """
-        k = self.config.default_k if k is None else int(k)
-        hit = self.index.cached(int(node), k, mode=mode)
-        if hit is not None:
-            return BatchFuture.resolved(hit)
-        return self._topk_batcher.submit((int(node), k, mode))
-
     def top_k(self, node: int, k: int | None = None,
               timeout: float | None = None,
               mode: str | None = None) -> TopK:
-        """Top-``k`` recommended nodes for ``node``, best first."""
+        """Top-``k`` recommended nodes for ``node``, best first.
+
+        A warm cache hit answers at once with zero GEMM work; a miss
+        rides the index's shared pass against the snapshot served when
+        it joins.  ``mode`` overrides the configured index for
+        this one request: ``"exact"`` forces the brute-force oracle
+        (full recall), ``"ivf"`` requests the approximate index (falls
+        back to exact automatically when no index matches the served
+        snapshot).  ``timeout`` is accepted for interface parity with
+        :meth:`score_link`; nothing here waits.
+        """
         rec = get_recorder()
         start = time.monotonic()
-        result = self.top_k_async(node, k, mode=mode).result(timeout)
+        node = int(node)
+        k = self.config.default_k if k is None else int(k)
+        result = self.index.cached(node, k, mode=mode)
+        if result is None:
+            if self._closed:
+                raise ServingError("frontend is closed; cannot serve top-k")
+            if not self._started:
+                raise ServingError("frontend not started; call start()")
+            result = self.index.top_k_batch([(node, k, mode)])[0]
         if rec.enabled:
             rec.counter("serving.requests.topk")
             rec.observe("serving.latency.topk_s", time.monotonic() - start)
         return result
-
-    def _process_topk(self, payloads: list[tuple[int, int, str | None]]
-                      ) -> list[TopK]:
-        return self.index.top_k_batch(payloads)

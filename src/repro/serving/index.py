@@ -6,7 +6,12 @@ next" is ``argmax_v f(u) . f(v)`` (§IV-B edge scoring without the
 classifier head).  :class:`RecommendationIndex` evaluates it in blocks
 of rows — bounded peak memory regardless of graph size, the same reason
 the walk kernel processes CSR slices — and memoizes per-``(node, k)``
-results in an LRU cache.
+results in an LRU cache.  Every query is scored by one single-query
+kernel, so an answer is a pure function of (rows, query, k) and never
+depends on which other requests were in flight.  Concurrent full scans
+share one pass over the blocks (see :meth:`RecommendationIndex._ride`):
+each block is read from memory once for all of them, and none waits
+for the others to arrive.
 
 Two execution modes share the scoring/selection code:
 
@@ -60,6 +65,21 @@ TopKRequest = "tuple[int, int] | tuple[int, int, str | None]"
 
 _TINY = np.finfo(np.float64).tiny
 
+#: Rows scored per einsum call when a block is shared by several
+#: queries: small enough that a chunk read from memory for the first
+#: query is still in L2 for the others.
+_CHUNK_BYTES = 1 << 19
+
+
+def _frozen(ids: np.ndarray, scores: np.ndarray) -> TopK:
+    ids.setflags(write=False)
+    scores.setflags(write=False)
+    return ids, scores
+
+
+def _empty() -> TopK:
+    return _frozen(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
+
 
 class RecommendationIndex:
     """Cached blocked top-k over the currently served embeddings."""
@@ -100,6 +120,11 @@ class RecommendationIndex:
         self._cache: OrderedDict[tuple[int, int, str], TopK] = OrderedDict()
         self._cache_version: int = -1
         self._ann_query_count = 0
+        # The shared pass: riders in flight, and whether a caller is
+        # driving it (see _ride).
+        self._pass = threading.Condition()
+        self._riders: list[_Rider] = []
+        self._driving = False
 
     # ------------------------------------------------------------------
     # Cache plumbing
@@ -191,17 +216,16 @@ class RecommendationIndex:
         return self.top_k_batch([(node, k, mode)])[0]
 
     def top_k_batch(self, requests: "list[TopKRequest]") -> list[TopK]:
-        """Serve many requests with shared block scans.
+        """Serve many requests from one snapshot.
 
         Each request is ``(node, k)`` or ``(node, k, mode)``.  Cache
-        hits are answered in place; the remaining distinct exact
-        requests of each ``k`` share one blocked pass over the matrix,
-        which is what makes micro-batched top-k amortize, while ANN
-        requests score only their probed candidate rows.  The whole
-        batch answers from the one snapshot taken here — cache lookups
-        and the ANN index are pinned to its version, so a publish (or
-        an index build) racing the batch can never mix results from two
-        embedding generations in one response.
+        hits are answered in place; the distinct exact misses ride the
+        shared pass together, each scored by the single-query kernel
+        (duplicates share the answer), while ANN requests score only
+        their probed candidate rows.  The whole batch answers from the one snapshot taken here
+        — cache lookups and the ANN index are pinned to its version, so
+        a publish (or an index build) racing the batch can never mix
+        results from two embedding generations in one response.
         """
         snapshot = self.store.snapshot()
         rec = get_recorder()
@@ -209,8 +233,8 @@ class RecommendationIndex:
         if self.ann is not None:
             ann_index = self.ann.index_for(snapshot)
         results: dict[int, TopK] = {}
-        exact_misses: dict[int, list[int]] = {}
-        ivf_misses: list[tuple[int, int, int]] = []  # (i, node, k)
+        exact_misses: list[tuple[int, int, int]] = []  # (i, node, k)
+        ivf_misses: list[tuple[int, int, int]] = []
         for i, request in enumerate(requests):
             node, k = int(request[0]), int(request[1])
             mode = self._resolve_mode(
@@ -226,39 +250,39 @@ class RecommendationIndex:
                     # Cold store, build in flight, or store too small.
                     rec.counter("serving.ann.fallbacks")
                     rec.counter("serving.ann.fallbacks.no_index")
-                    mode = "exact"
                 else:
                     ivf_misses.append((i, node, k))
                     continue
-            exact_misses.setdefault(k, []).append(i)
+            exact_misses.append((i, node, k))
 
         for i, node, k in ivf_misses:
             result = self._compute_ivf(snapshot, ann_index, node, k)
             if result is None:  # not enough candidates: exact fallback
-                exact_misses.setdefault(k, []).append(i)
+                exact_misses.append((i, node, k))
                 continue
             results[i] = result
             self._fill(snapshot, node, k, "ivf", result)
 
-        for k, indices in exact_misses.items():
-            nodes = []
-            for i in indices:
-                node = int(requests[i][0])
-                if node not in nodes:
-                    nodes.append(node)
-            rec.counter("serving.index.cache_misses", len(nodes))
-            ids, scores = self._compute_many(
-                snapshot, np.asarray(nodes, dtype=np.int64), k
-            )
-            computed: dict[int, TopK] = {}
-            for column, node in enumerate(nodes):
-                result = (ids[:, column].copy(), scores[:, column].copy())
-                result[0].setflags(write=False)
-                result[1].setflags(write=False)
-                computed[node] = result
-                self._fill(snapshot, node, k, "exact", result)
-            for i in indices:
-                results[i] = computed[int(requests[i][0])]
+        # Distinct exact misses ride the shared pass together.
+        riders: dict[tuple[int, int], _Rider | None] = {}
+        for _, node, k in exact_misses:
+            if (node, k) not in riders:
+                rec.counter("serving.index.cache_misses")
+                riders[(node, k)] = self._rider(
+                    snapshot, snapshot.matrix[node], snapshot.norms[node],
+                    node, k)
+        running = [r for r in riders.values() if r is not None]
+        if running:
+            self._ride(running)
+            rec.counter("serving.index.gemm_rows",
+                        snapshot.num_nodes * len(running))
+        computed: dict[tuple[int, int], TopK] = {}
+        for (node, k), rider in riders.items():
+            computed[(node, k)] = result = (
+                _empty() if rider is None else rider.result())
+            self._fill(snapshot, node, k, "exact", result)
+        for i, node, k in exact_misses:
+            results[i] = computed[(node, k)]
         return [results[i] for i in range(len(requests))]
 
     def top_k_vector(self, vector: np.ndarray, k: int,
@@ -288,15 +312,11 @@ class RecommendationIndex:
                 f"exclude_row {exclude_row} out of range "
                 f"[0, {snapshot.num_nodes})"
             )
-        ids, scores = self._compute_many(
-            snapshot, None, k, row_ids=row_ids,
-            queries=vector[None, :],
-            exclude=np.asarray([exclude_row], dtype=np.int64),
-        )
-        result = (ids[:, 0].copy(), scores[:, 0].copy())
-        result[0].setflags(write=False)
-        result[1].setflags(write=False)
-        return result
+        # Same per-row reduction as the snapshot's own norms, so a
+        # shipped copy of a row scores bit-identically to the row.
+        norm = np.linalg.norm(vector[None, :], axis=1)[0]
+        return self._scan(snapshot, vector, norm, int(exclude_row), k,
+                          row_ids)
 
     def _validate(self, snapshot: EmbeddingSnapshot, node: int,
                   k: int) -> None:
@@ -333,13 +353,7 @@ class RecommendationIndex:
         rec.counter("serving.ann.queries")
         rec.counter("serving.ann.cells_probed", probed)
         rec.counter("serving.ann.candidates_scored", len(candidates))
-        ids, scores = self._compute_many(
-            snapshot, np.asarray([node], dtype=np.int64), k,
-            row_ids=candidates,
-        )
-        result = (ids[:, 0].copy(), scores[:, 0].copy())
-        result[0].setflags(write=False)
-        result[1].setflags(write=False)
+        result = self._scan_node(snapshot, node, k, row_ids=candidates)
         self._maybe_sample_recall(snapshot, node, k, result)
         return result
 
@@ -354,13 +368,11 @@ class RecommendationIndex:
             due = self._ann_query_count % every == 0
         if not due:
             return
-        exact_ids, _ = self._compute_many(
-            snapshot, np.asarray([node], dtype=np.int64), k
-        )
+        exact_ids, _ = self._scan_node(snapshot, node, k)
         k_eff = len(exact_ids)
         recall = 1.0
         if k_eff:
-            overlap = np.intersect1d(result[0], exact_ids[:, 0])
+            overlap = np.intersect1d(result[0], exact_ids)
             recall = len(overlap) / k_eff
         rec = get_recorder()
         rec.counter("serving.ann.recall_samples")
@@ -368,150 +380,238 @@ class RecommendationIndex:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _select_top(block_scores: np.ndarray, take: int) -> np.ndarray:
-        """Row offsets of the top ``take`` scores per column.
+    def _select_top(scores: np.ndarray, take: int) -> np.ndarray:
+        """Ascending offsets of the top ``take`` entries of ``scores``.
 
-        Exact total order: descending score, ties broken by *lower row
-        offset* (= lower node id, since blocks are id-ascending).  A
-        plain ``argpartition`` keeps an arbitrary subset of boundary
-        ties, which silently violated the documented lower-id tie-break
-        on duplicate-heavy matrices; the threshold + cumulative-count
-        selection below admits exactly the lowest-id ties instead, for
-        one extra cheap pass over the block.
+        Exact total order: descending score, ties broken by *lower
+        offset* (= lower node id, since blocks are id-ascending).  One
+        partition finds the ``take``-th best value; every entry at or
+        above it is a candidate.  A plain ``argpartition`` would keep
+        an arbitrary subset of the ties at that value, so when they
+        overflow ``take`` only the lowest-offset ties are admitted.
         """
-        rows, columns = block_scores.shape
+        rows = len(scores)
         if take >= rows:
-            return np.broadcast_to(
-                np.arange(rows, dtype=np.int64)[:, None], (rows, columns)
-            )
-        kth = np.partition(block_scores, rows - take, axis=0)[rows - take]
-        above = block_scores > kth
-        need = take - above.sum(axis=0)
-        tied = block_scores == kth
-        selected = above | (tied & (np.cumsum(tied, axis=0) <= need))
-        # Exactly ``take`` per column; nonzero on the transpose walks
-        # column-major, rows ascending within each column.
-        offsets = np.nonzero(selected.T)[1]
-        return offsets.reshape(columns, take).T
+            return np.arange(rows)
+        kth = np.partition(scores, rows - take)[rows - take]
+        idx = np.flatnonzero(scores >= kth)
+        if len(idx) > take:
+            above = idx[scores[idx] > kth]
+            tied = idx[scores[idx] == kth]
+            idx = np.sort(np.concatenate(
+                (above, tied[:take - len(above)])))
+        return idx
 
-    def _compute_many(self, snapshot: EmbeddingSnapshot,
-                      nodes: np.ndarray | None, k: int,
-                      row_ids: np.ndarray | None = None,
-                      queries: np.ndarray | None = None,
-                      exclude: np.ndarray | None = None,
-                      ) -> tuple[np.ndarray, np.ndarray]:
-        """Blocked top-k for ``m`` distinct query nodes at once.
-
-        Returns ``(ids, scores)`` of shape ``(k_eff, m)`` with each
-        column sorted best-first (ties broken by lower id).  Peak
-        memory is O(block_size * m) however large the matrix is.
-
-        ``row_ids`` (sorted ascending) restricts scoring to a candidate
-        subset — the ANN path.  A block of consecutive ids is detected
-        and served from a contiguous slice, so candidates covering the
-        whole id range (``nprobe = nlist``) run the *identical*
-        block/GEMM/selection sequence as the full scan and return
-        bit-identical results.
-
-        ``queries`` (shape ``(m, d)``) scores raw vectors instead of
-        ``matrix[nodes]`` — the sharded scatter path, where the query
-        row usually lives on another shard.  ``exclude`` then carries
-        one row id per query to mask (-1 = none); with ``nodes`` the
-        exclusion is the query node itself, exactly as before.
-        """
-        rec = get_recorder()
-        matrix = snapshot.matrix
+    def _rider(self, snapshot: EmbeddingSnapshot, query: np.ndarray,
+               query_norm: float, exclude: int, k: int) -> "_Rider | None":
+        """One exact query (None when it has nothing to return)."""
         n = snapshot.num_nodes
-        if queries is None:
-            assert nodes is not None
-            exclude = nodes
-            query_rows = matrix[nodes]
-            query_norms = snapshot.norms[nodes]
-        else:
-            query_rows = np.ascontiguousarray(queries, dtype=np.float64)
-            if exclude is None:
-                exclude = np.full(len(query_rows), -1, dtype=np.int64)
-            # Same per-row reduction as the snapshot's own norms, so a
-            # shipped copy of a row scores bit-identically to the row.
-            query_norms = np.linalg.norm(query_rows, axis=1)
-        m = len(query_rows)
         # Self-exclusion consumes one candidate; a query with no local
         # exclusion row (remote shard) can use all n.
-        k_eff = min(k, n - 1) if bool(np.all(exclude >= 0)) else min(k, n)
+        k_eff = min(k, n - 1) if exclude >= 0 else min(k, n)
         if k_eff <= 0:
-            empty = np.empty((0, m), dtype=np.int64)
-            return empty, np.empty((0, m), dtype=np.float64)
-        queries = query_rows.T  # (d, m)
-        if self.metric == "cosine":
-            qnorm = np.where(query_norms == 0.0, 1.0, query_norms)
-        total = n if row_ids is None else len(row_ids)
-        cand_ids: list[np.ndarray] = []
-        cand_scores: list[np.ndarray] = []
-        for start in range(0, total, self.block_size):
-            stop = min(total, start + self.block_size)
-            if row_ids is None:
-                ids_block = None
-                rows = matrix[start:stop]
-                row_norms = snapshot.norms[start:stop]
-            else:
-                ids_block = row_ids[start:stop]
-                lo, hi = int(ids_block[0]), int(ids_block[-1])
-                if hi - lo + 1 == len(ids_block):  # consecutive run
-                    rows = matrix[lo:hi + 1]
-                    row_norms = snapshot.norms[lo:hi + 1]
-                else:
-                    rows = matrix[ids_block]
-                    row_norms = snapshot.norms[ids_block]
-            if m == 1:
+            return None
+        return _Rider(snapshot, query, query_norm, exclude, k_eff,
+                      -(-n // self.block_size))
+
+    def _scan_node(self, snapshot: EmbeddingSnapshot, node: int, k: int,
+                   row_ids: np.ndarray | None = None) -> TopK:
+        """:meth:`_scan` for a catalog row, which never recommends itself."""
+        return self._scan(snapshot, snapshot.matrix[node],
+                          snapshot.norms[node], node, k, row_ids)
+
+    def _scan(self, snapshot: EmbeddingSnapshot, query: np.ndarray,
+              query_norm: float, exclude: int, k: int,
+              row_ids: np.ndarray | None = None) -> TopK:
+        """Blocked exact top-k for one query vector.
+
+        Returns read-only ``(ids, scores)`` sorted best-first (ties
+        broken by lower id).  Peak memory is O(block_size) however
+        large the matrix is.  ``exclude`` is the row id that may not be
+        recommended (-1 = none: the query row lives on another shard).
+
+        A full scan rides the shared pass (:meth:`_ride`).  ``row_ids``
+        (sorted ascending) restricts scoring to a candidate subset — the
+        ANN path — scanned on this thread alone.  A block of consecutive
+        ids is detected and served from a contiguous slice, so
+        candidates covering the whole id range (``nprobe = nlist``) run
+        the *identical* block/score/selection sequence as the full scan
+        and return bit-identical results.
+        """
+        rider = self._rider(snapshot, query, query_norm, exclude, k)
+        if rider is None:
+            return _empty()
+        if row_ids is None:
+            total = snapshot.num_nodes
+            self._ride([rider])
+        else:
+            total = len(row_ids)
+            for start in range(0, total, self.block_size):
+                stop = min(total, start + self.block_size)
+                self._visit(*self._block(snapshot, start, stop, row_ids),
+                            [rider])
+        get_recorder().counter("serving.index.gemm_rows", total)
+        return rider.result()
+
+    @staticmethod
+    def _block(snapshot: EmbeddingSnapshot, start: int, stop: int,
+               row_ids: np.ndarray | None = None,
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(ids, rows, norms)`` of block ``[start, stop)`` of the scan."""
+        if row_ids is None:
+            return (np.arange(start, stop), snapshot.matrix[start:stop],
+                    snapshot.norms[start:stop])
+        ids_block = row_ids[start:stop]
+        lo, hi = int(ids_block[0]), int(ids_block[-1])
+        if hi - lo + 1 == len(ids_block):  # consecutive run
+            return (ids_block, snapshot.matrix[lo:hi + 1],
+                    snapshot.norms[lo:hi + 1])
+        return (ids_block, snapshot.matrix[ids_block],
+                snapshot.norms[ids_block])
+
+    def _visit(self, ids_block: np.ndarray, rows: np.ndarray,
+               row_norms: np.ndarray, riders: "list[_Rider]") -> None:
+        """Score one block for every rider and keep each one's block top.
+
+        With several riders the block is scored in L2-sized chunks, one
+        chunk for every rider before the next chunk, so the rows are
+        read from memory once for all of them.
+        """
+        chunk = len(rows)
+        if len(riders) > 1:
+            chunk = max(1, _CHUNK_BYTES // max(1, rows[:1].nbytes))
+        outs = [np.empty(len(rows)) for _ in riders]
+        for lo in range(0, len(rows), chunk):
+            part = rows[lo:lo + chunk]
+            for rider, out in zip(riders, outs):
                 # Per-row deterministic kernel: einsum's reduction order
-                # depends only on d, never on the block's row count,
+                # depends only on d, never on how many rows it is given,
                 # where BLAS GEMV picks shape-dependent accumulation
-                # orders.  Single-query scores are therefore a pure
-                # function of (row bits, query bits) — the property that
-                # makes a shard worker scoring its slice bit-identical
-                # to this oracle scanning the full matrix.
-                block_scores = np.einsum("nd,dm->nm", rows, queries)
-            else:
-                block_scores = rows @ queries  # (bs, m)
-            rec.counter("serving.index.gemm_rows", (stop - start) * m)
+                # orders.  Scores are therefore a pure function of (row
+                # bits, query bits) — whatever the chunking, and however
+                # the rows are split across shards.
+                np.einsum("nd,d->n", part, rider.query,
+                          out=out[lo:lo + chunk])
+        for rider, block_scores in zip(riders, outs):
             if self.metric == "cosine":
-                norms = np.where(row_norms == 0.0, 1.0, row_norms)
-                denom = norms[:, None] * qnorm[None, :]
+                denom = np.where(row_norms == 0.0, 1.0, row_norms) \
+                    * rider.qnorm
                 # Two tiny-but-nonzero norms can *underflow* to a zero
                 # product even though both factors passed the zero
                 # guard; dividing by it put NaN into the ordering.
                 np.maximum(denom, _TINY, out=denom)
                 block_scores /= denom
-            # Self-exclusion: a query node inside this block never
-            # recommends itself (-1 entries never match any block).
-            if ids_block is None:
-                inside = (exclude >= start) & (exclude < stop)
-                positions = exclude[inside] - start
-            else:
-                found = np.searchsorted(ids_block, exclude)
-                found = np.minimum(found, len(ids_block) - 1)
-                inside = ids_block[found] == exclude
-                positions = found[inside]
-            block_scores[positions, np.flatnonzero(inside)] = -np.inf
-            bs = stop - start
-            take = min(k_eff, bs)
-            part = self._select_top(block_scores, take)
-            if ids_block is None:
-                cand_ids.append(part + start)
-            else:
-                cand_ids.append(ids_block[part])
-            cand_scores.append(
-                np.take_along_axis(block_scores, part, axis=0)
-            )
-        pool_ids = np.concatenate(cand_ids, axis=0)
-        pool_scores = np.concatenate(cand_scores, axis=0)
-        out_k = min(k_eff, len(pool_ids))
-        out_ids = np.empty((out_k, m), dtype=np.int64)
-        out_scores = np.empty((out_k, m), dtype=np.float64)
-        for column in range(m):
-            order = np.lexsort(
-                (pool_ids[:, column], -pool_scores[:, column])
-            )[:out_k]
-            out_ids[:, column] = pool_ids[order, column]
-            out_scores[:, column] = pool_scores[order, column]
-        return out_ids, out_scores
+            # Self-exclusion: a query row inside this block never
+            # recommends itself.
+            pos = int(np.searchsorted(ids_block, rider.exclude))
+            if pos < len(ids_block) and ids_block[pos] == rider.exclude:
+                block_scores[pos] = -np.inf
+            part = self._select_top(block_scores, min(rider.k, len(rows)))
+            rider.ids.append(ids_block[part])
+            rider.scores.append(block_scores[part])
+
+    # ------------------------------------------------------------------
+    # Shared pass
+    # ------------------------------------------------------------------
+    def _ride(self, riders: "list[_Rider]") -> None:
+        """Run full-catalog scans through the shared pass; block until done.
+
+        Concurrent exact misses share one cyclic pass over the blocks:
+        a rider joins at the block the pass visits next and leaves after
+        it has seen every block once, so nobody waits for a batch to
+        form, and each block is read from memory once per step for all
+        riders of its snapshot.  One caller at a time drives the pass on
+        its own thread; when its own riders are done it hands the pass
+        to a waiting caller.  Candidates are merged with a total order
+        (score, then id), so the block a rider starts at cannot change
+        its answer.
+        """
+        drive = False
+        with self._pass:
+            for rider in riders:
+                peer = next((r for r in self._riders
+                             if r.snapshot is rider.snapshot), None)
+                rider.block = 0 if peer is None else peer.block
+                self._riders.append(rider)
+            while not all(r.done for r in riders):
+                if not self._driving:
+                    self._driving = drive = True
+                    break
+                self._pass.wait()
+        if drive:
+            try:
+                self._drive(riders)
+            finally:
+                with self._pass:
+                    self._driving = False
+                    self._pass.notify_all()
+        for rider in riders:
+            if rider.error is not None:
+                raise ServingError("top-k scan failed") from rider.error
+
+    def _drive(self, mine: "list[_Rider]") -> None:
+        """Step the shared pass until every rider in ``mine`` is done."""
+        while True:
+            with self._pass:
+                if all(r.done for r in mine):
+                    return
+                step = list(self._riders)
+                groups: dict[tuple[int, int], list[_Rider]] = {}
+                for rider in step:
+                    groups.setdefault((id(rider.snapshot), rider.block),
+                                      []).append(rider)
+                    # Advanced before the visit, so a rider joining
+                    # meanwhile starts at the block its peers visit next.
+                    rider.block = (rider.block + 1) % rider.blocks
+            try:
+                for (_, block), group in groups.items():
+                    snapshot = group[0].snapshot
+                    start = block * self.block_size
+                    stop = min(snapshot.num_nodes, start + self.block_size)
+                    self._visit(*self._block(snapshot, start, stop), group)
+            except BaseException as exc:
+                with self._pass:
+                    for rider in step:
+                        rider.error, rider.done = exc, True
+                        self._riders.remove(rider)
+                    self._pass.notify_all()
+                raise
+            with self._pass:
+                finished = False
+                for rider in step:
+                    rider.left -= 1
+                    if rider.left == 0:
+                        rider.done = finished = True
+                        self._riders.remove(rider)
+                if finished:
+                    self._pass.notify_all()
+
+
+class _Rider:
+    """One exact query's progress through a blocked scan."""
+
+    __slots__ = ("snapshot", "query", "qnorm", "exclude", "k", "blocks",
+                 "block", "left", "ids", "scores", "done", "error")
+
+    def __init__(self, snapshot: EmbeddingSnapshot, query: np.ndarray,
+                 query_norm: float, exclude: int, k: int,
+                 blocks: int) -> None:
+        self.snapshot = snapshot
+        self.query = query
+        self.qnorm = 1.0 if query_norm == 0.0 else query_norm
+        self.exclude = exclude
+        self.k = k
+        self.blocks = blocks  # blocks in a full pass (shared pass only)
+        self.block = 0        # the next block this rider visits
+        self.left = blocks
+        self.ids: list[np.ndarray] = []
+        self.scores: list[np.ndarray] = []
+        self.done = False
+        self.error: BaseException | None = None
+
+    def result(self) -> TopK:
+        """The best ``k`` candidates, best first, ties by lower id."""
+        pool_ids = np.concatenate(self.ids)
+        pool_scores = np.concatenate(self.scores)
+        order = np.lexsort((pool_ids, -pool_scores))[:self.k]
+        return _frozen(pool_ids[order], pool_scores[order])

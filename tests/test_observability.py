@@ -2,6 +2,8 @@
 
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -71,6 +73,32 @@ class TestRecorderMetrics:
         for v in (1.0, 3.0):
             rec.observe("lat", v)
         assert rec.metrics()["histograms"]["lat"]["mean"] == 2.0
+
+    def test_concurrent_updates_lose_nothing(self):
+        """Serving client threads update one recorder concurrently; an
+        unlocked read-add-write dropped increments under contention."""
+        rec = Recorder()
+        threads, per_thread = 4, 50_000
+
+        def work() -> None:
+            for _ in range(per_thread):
+                rec.counter("c")
+                rec.observe("h", 1.0)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            pool = [threading.Thread(target=work) for _ in range(threads)]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in pool)
+        assert rec.counters["c"] == threads * per_thread
+        assert rec.histograms["h"].count == threads * per_thread
+        assert rec.histograms["h"].total == threads * per_thread
 
     def test_metrics_document_sections(self):
         rec = Recorder()

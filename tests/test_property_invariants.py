@@ -315,15 +315,66 @@ class TestSchedulerProperties:
 # Serving top-k invariants
 # ---------------------------------------------------------------------------
 
+def _multi_column_select_top(block_scores: np.ndarray,
+                             take: int) -> np.ndarray:
+    """The retired multi-column selection, kept as the reference.
+
+    Row offsets of the top ``take`` scores per column, by descending
+    score with ties to the lower offset: a threshold at the ``take``-th
+    value, then the lowest-offset ties by cumulative count.
+    """
+    rows, columns = block_scores.shape
+    if take >= rows:
+        return np.broadcast_to(
+            np.arange(rows, dtype=np.int64)[:, None], (rows, columns)
+        )
+    kth = np.partition(block_scores, rows - take, axis=0)[rows - take]
+    above = block_scores > kth
+    need = take - above.sum(axis=0)
+    tied = block_scores == kth
+    selected = above | (tied & (np.cumsum(tied, axis=0) <= need))
+    offsets = np.nonzero(selected.T)[1]
+    return offsets.reshape(columns, take).T
+
+
+@st.composite
+def score_columns(draw):
+    """Score vectors rich in ties: values from a small pool (duplicate
+    rows score alike), with ``-inf`` for self-excluded rows."""
+    rows = draw(st.integers(min_value=1, max_value=60))
+    pool = draw(st.lists(
+        st.one_of(
+            st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+            st.just(-np.inf),
+        ),
+        min_size=1, max_size=6,
+    ))
+    picks = draw(hnp.arrays(np.int64, rows,
+                            elements=st.integers(0, len(pool) - 1)))
+    take = draw(st.integers(min_value=1, max_value=rows + 3))
+    return np.asarray(pool, dtype=np.float64)[picks], take
+
+
 class TestServingTopKProperties:
     """Exact top-k must be a pure function of (matrix, node, k, metric).
 
-    Block size and batch composition are execution details: they may
-    change which BLAS kernel computes each dot product (so scores are
-    compared with ``allclose``, not bit-equality), but they must never
-    change the returned ids — the selection and the lower-id tie-break
-    have to be invariant to how the scan was chunked or batched.
+    Block size and batch composition are execution details.  Every
+    query is scored by one per-row kernel whose reduction order depends
+    only on the dimension, so neither may change the returned ids nor
+    the score bytes, and the lower-id tie-break has to be invariant to
+    how the scan was chunked or batched.
     """
+
+    @pytest.mark.kernels
+    @given(score_columns())
+    @settings(max_examples=300, deadline=None)
+    def test_one_column_selection_matches_multi_column(self, case):
+        from repro.serving import RecommendationIndex
+
+        scores, take = case
+        got = RecommendationIndex._select_top(scores, take)
+        want = _multi_column_select_top(scores[:, None], take)[:, 0]
+        np.testing.assert_array_equal(got, want)
 
     @given(
         st.integers(min_value=0, max_value=10_000),
@@ -346,8 +397,7 @@ class TestServingTopKProperties:
                                         block_size=block_size, metric=metric)
             ids, scores = index.top_k(0, k)
             np.testing.assert_array_equal(ids, expected_ids)
-            np.testing.assert_allclose(scores, expected_scores,
-                                       rtol=1e-12, atol=1e-12)
+            assert scores.tobytes() == expected_scores.tobytes()
 
     @given(
         st.integers(min_value=0, max_value=10_000),
@@ -371,17 +421,14 @@ class TestServingTopKProperties:
         order = rng.permutation(len(nodes))
         results = batched.top_k_batch([(int(nodes[i]), k) for i in order])
         for got, i in zip(results, order):
-            np.testing.assert_array_equal(got[0], expected[i][0])
-            np.testing.assert_allclose(got[1], expected[i][1],
-                                       rtol=1e-12, atol=1e-12)
+            assert got[0].tobytes() == expected[i][0].tobytes()
+            assert got[1].tobytes() == expected[i][1].tobytes()
 
     def test_duplicate_rows_keep_lowest_id_ties_across_block_sizes(self):
         """Duplicate rows create huge tie groups; whatever the block
         size, the selection must admit exactly the lowest-id ties (an
-        arbitrary tie subset would differ between chunkings).  Score
-        *bits* still vary with the chunking — BLAS picks different
-        accumulation orders for different GEMM shapes — which is exactly
-        why ids, not float identity, carry this invariant."""
+        arbitrary tie subset would differ between chunkings).  The
+        per-row kernel makes the score bytes chunking-invariant too."""
         from repro.serving import EmbeddingStore, RecommendationIndex
 
         rng = np.random.default_rng(7)
@@ -396,5 +443,4 @@ class TestServingTopKProperties:
                                         block_size=block_size)
             ids, scores = index.top_k(11, 30)
             np.testing.assert_array_equal(ids, expected_ids)
-            np.testing.assert_allclose(scores, expected_scores,
-                                       rtol=1e-12, atol=1e-12)
+            assert scores.tobytes() == expected_scores.tobytes()

@@ -1,6 +1,6 @@
 """Tests for the online serving layer (:mod:`repro.serving`).
 
-Pins down the four contracts the serving design note promises:
+Pins down the five contracts the serving design note promises:
 
 - snapshot-swap atomicity: readers racing a publisher only ever see
   whole snapshots (never a half-written matrix), and a held snapshot
@@ -9,12 +9,15 @@ Pins down the four contracts the serving design note promises:
   top-k is ever served again (the LRU is keyed by snapshot version);
 - micro-batch flushing on all three triggers (size, delay, close) with
   exception propagation to every future of a failed batch;
+- top-k answers, from concurrent client threads sharing one pass over
+  the blocks, are bit-identical to the single-query oracle;
 - recorder instrumentation: the documented ``serving.*`` counters and
   histograms actually appear under load.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from concurrent.futures import TimeoutError as FutureTimeoutError
@@ -284,14 +287,11 @@ class TestBatchScheduler:
         with pytest.raises(ServingError, match="max_delay"):
             BatchScheduler(lambda batch: batch, max_delay=-1.0)
 
-    def test_batch_future_timeout_and_resolved(self):
+    def test_batch_future_timeout(self):
         pending = BatchFuture(threading.Condition())
         assert not pending.done()
         with pytest.raises(FutureTimeoutError):
             pending.result(timeout=0.01)
-        done = BatchFuture.resolved("value")
-        assert done.done()
-        assert done.result(timeout=0) == "value"
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +431,166 @@ class TestRecommendationIndex:
             RecommendationIndex(EmbeddingStore(), metric="euclid")
 
 
+class TestSharedPass:
+    """Concurrent exact misses ride one cyclic pass over the blocks.
+
+    Each test holds the driving caller inside a block visit, lets a
+    second caller join, then releases the driver, so the join point is
+    fixed rather than left to thread timing.
+    """
+
+    @staticmethod
+    def _hold_second_visit(index: RecommendationIndex,
+                           fail: bool = False):
+        """Record ``(first id, riders)`` per visit and park the driver
+        in its second visit until the returned event is set; with
+        ``fail``, the third visit (the first one shared) raises."""
+        visits: list[tuple[int, int]] = []
+        held, release = threading.Event(), threading.Event()
+        real = index._visit
+
+        def visit(ids_block, rows, norms, riders):
+            visits.append((int(ids_block[0]), len(riders)))
+            if len(visits) == 2:
+                held.set()
+                assert release.wait(timeout=30.0)
+            if fail and len(visits) == 3:
+                raise RuntimeError("visit failed")
+            real(ids_block, rows, norms, riders)
+
+        index._visit = visit
+        return visits, held, release
+
+    @staticmethod
+    def _riders(index: RecommendationIndex) -> int:
+        with index._pass:
+            return len(index._riders)
+
+    def _join_mid_pass(self, index, first, second, fail=False):
+        """Run query ``first`` as the driver and ``second`` as a rider
+        joining during the driver's second step; returns
+        ``(visits, {name: answer or exception})``."""
+        visits, held, release = self._hold_second_visit(index, fail)
+        out: dict[str, object] = {}
+
+        def run(name, query):
+            try:
+                out[name] = query()
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                out[name] = exc
+
+        driver = threading.Thread(target=run, args=("first", first))
+        driver.start()
+        assert held.wait(timeout=30.0)
+        rider = threading.Thread(target=run, args=("second", second))
+        rider.start()
+        deadline = time.monotonic() + 30.0
+        while self._riders(index) < 2 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        release.set()
+        for thread in (driver, rider):
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+        return visits, out
+
+    @pytest.mark.parametrize("metric", ["dot", "cosine"])
+    def test_rider_joining_mid_pass_shares_blocks(self, rng, metric):
+        matrix = rng.standard_normal((300, 8))
+        # Both query rows tie with a row in every block, so the rider
+        # that starts mid-pass must still keep the lowest tied ids.
+        matrix[::3] = matrix[200] = 10.0 * matrix[0]
+        store = make_store(matrix)
+        index = RecommendationIndex(store, cache_size=0, block_size=50,
+                                    metric=metric)
+        snapshot = store.snapshot()
+        want = {name: index._scan_node(snapshot, node, 5)
+                for name, node in (("first", 3), ("second", 200))}
+        assert want["second"][0].tolist() == [0, 3, 6, 9, 12]
+        visits, out = self._join_mid_pass(
+            index, lambda: index.top_k(3, 5), lambda: index.top_k(200, 5))
+        # The rider joins at the block the pass visits next (100), shares
+        # the driver's remaining four blocks, then drives blocks 0 and 50
+        # itself once the first caller's query is done.
+        assert visits == [(0, 1), (50, 1), (100, 2), (150, 2), (200, 2),
+                          (250, 2), (0, 1), (50, 1)]
+        for name, (ids, scores) in want.items():
+            got_ids, got_scores = out[name]
+            assert got_ids.tobytes() == ids.tobytes()
+            assert got_scores.tobytes() == scores.tobytes()
+        assert self._riders(index) == 0 and not index._driving
+
+    def test_riders_of_two_snapshots_each_answer_from_their_own(self, rng):
+        """A publish mid-pass: the new snapshot's rider visits its own
+        rows, and neither answer mixes the two matrices."""
+        old, new = rng.standard_normal((2, 200, 6))
+        store = make_store(old)
+        index = RecommendationIndex(store, cache_size=0, block_size=40)
+        old_snapshot = store.snapshot()
+        want_old = index._scan_node(old_snapshot, 9, 4)
+
+        def after_publish():
+            store.publish(new, generation=1)
+            return index.top_k(9, 4)
+
+        _, out = self._join_mid_pass(index, lambda: index.top_k(9, 4),
+                                     after_publish)
+        want_new = index._scan_node(store.snapshot(), 9, 4)
+        for (ids, scores), (want_ids, want_scores) in (
+                (out["first"], want_old), (out["second"], want_new)):
+            assert ids.tobytes() == want_ids.tobytes()
+            assert scores.tobytes() == want_scores.tobytes()
+
+    def test_many_riders_under_fast_thread_switching(self, rng):
+        """More callers than cores, switching every 10 us: every answer
+        still has the oracle's bytes and the pass ends idle."""
+        matrix = rng.standard_normal((400, 6))
+        store = make_store(matrix)
+        index = RecommendationIndex(store, cache_size=0, block_size=32,
+                                    metric="cosine")
+        snapshot = store.snapshot()
+        clients, per_client = 6, 25
+        nodes = rng.integers(0, len(matrix), size=(clients, per_client))
+        answers: dict[int, list] = {}
+
+        def client(c: int) -> None:
+            answers[c] = [index.top_k(int(node), 4) for node in nodes[c]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=client, args=(c,))
+                       for c in range(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for c in range(clients):
+            for node, (ids, scores) in zip(nodes[c], answers[c]):
+                want_ids, want_scores = index._scan_node(
+                    snapshot, int(node), 4)
+                assert ids.tobytes() == want_ids.tobytes()
+                assert scores.tobytes() == want_scores.tobytes()
+        assert self._riders(index) == 0 and not index._driving
+
+    def test_failed_step_fails_its_riders_and_the_pass_recovers(self, rng):
+        matrix = rng.standard_normal((120, 4))
+        index = RecommendationIndex(make_store(matrix), cache_size=0,
+                                    block_size=30)
+        real = index._visit
+        _, out = self._join_mid_pass(index, lambda: index.top_k(1, 3),
+                                     lambda: index.top_k(2, 3), fail=True)
+        assert isinstance(out["first"], RuntimeError)
+        assert isinstance(out["second"], ServingError)
+        assert isinstance(out["second"].__cause__, RuntimeError)
+        assert self._riders(index) == 0 and not index._driving
+        index._visit = real
+        ids, _ = index.top_k(1, 3)
+        np.testing.assert_array_equal(ids, brute_force_topk(matrix, 1, 3)[0])
+
+
 # ---------------------------------------------------------------------------
 # ServingFrontend + freshness end-to-end
 # ---------------------------------------------------------------------------
@@ -459,6 +619,54 @@ class TestServingFrontend:
             assert len(ids) == 3
             expected_ids, _ = brute_force_topk(matrix, 2, 3)
             np.testing.assert_array_equal(ids, expected_ids)
+
+    def test_top_k_outside_lifecycle_raises_on_miss(self, rng):
+        """A cache miss needs a started, open frontend; a warm hit is
+        answered from the cache either way."""
+        matrix = rng.standard_normal((12, 4))
+        frontend = ServingFrontend(make_store(matrix), FAST_CONFIG)
+        with pytest.raises(ServingError, match="not started"):
+            frontend.top_k(0, 3)
+        frontend.start()
+        warm = frontend.top_k(0, 3)
+        frontend.close()
+        assert frontend.top_k(0, 3) is warm
+        with pytest.raises(ServingError, match="closed"):
+            frontend.top_k(1, 3)
+
+    @pytest.mark.parametrize("metric", ["dot", "cosine"])
+    def test_concurrent_top_k_bit_identical_to_oracle(self, rng, metric):
+        """Client threads scanning concurrently with the cache off must
+        each get the single-query oracle's ids and score bytes: no
+        answer may depend on what else was in flight."""
+        matrix = rng.standard_normal((300, 8))
+        store = make_store(matrix)
+        oracle = RecommendationIndex(store, cache_size=0, block_size=64,
+                                     metric=metric)
+        config = ServingConfig(cache_size=0, block_size=64, metric=metric)
+        clients, per_client = 3, 40
+        nodes = rng.integers(0, len(matrix), size=(clients, per_client))
+        answers: dict[int, list] = {}
+        start = threading.Barrier(clients)
+
+        def client(c: int) -> None:
+            start.wait(timeout=30.0)
+            answers[c] = [frontend.top_k(int(node), 7) for node in nodes[c]]
+
+        with ServingFrontend(store, config) as frontend:
+            threads = [threading.Thread(target=client, args=(c,))
+                       for c in range(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+        for c in range(clients):
+            assert len(answers[c]) == per_client
+            for node, (ids, scores) in zip(nodes[c], answers[c]):
+                want_ids, want_scores = oracle.top_k(int(node), 7)
+                assert ids.tobytes() == want_ids.tobytes()
+                assert scores.tobytes() == want_scores.tobytes()
 
     def test_config_validation(self):
         with pytest.raises(ServingError, match="max_batch_size"):
