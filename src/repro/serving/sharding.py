@@ -59,8 +59,8 @@ ahead of that shard's sub-queries — availability is bounded by install
 time, never correctness.
 
 Oracle harness: ``tests/test_serving_shards.py`` and
-``tests/test_serving_replication.py`` (``pytest -m shards``); capacity
-and availability curves: ``benchmarks/bench_serving_shards.py``.
+``tests/test_serving_replication.py`` (``pytest -m shards``); latency
+and throughput: perfbench's ``serve_sharded`` workload.
 """
 
 from __future__ import annotations
@@ -81,7 +81,11 @@ from repro.observability import Recorder, get_recorder, use_recorder
 from repro.serving.ann import INDEX_CHOICES, IvfConfig, IvfIndex
 from repro.serving.index import METRIC_CHOICES, RecommendationIndex, TopK
 from repro.serving.shared_array import SharedArray, SharedArraySpec, _mp_context
-from repro.serving.store import EmbeddingStore
+from repro.serving.store import (
+    EmbeddingStore,
+    require_finite_norms,
+    row_norms,
+)
 
 PLAN_CHOICES = ("hash", "range")
 
@@ -1367,21 +1371,32 @@ class ShardedPublisher:
 
     # ------------------------------------------------------------------
     def publish(self, matrix: np.ndarray, generation: int = 0) -> int:
-        """Install ``matrix`` across every shard; returns the version."""
-        frontend = self.frontend
-        frontend._require_running()
+        """Install ``matrix`` across every shard; returns the version.
+
+        A row whose norm is not finite raises :class:`ServingError`
+        before any install (every worker's store would reject it), so
+        the tier keeps serving the current version.
+        """
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] < 1:
             raise ServingError(
                 "published embeddings must be a non-empty 2-D matrix, "
                 f"got shape {matrix.shape}"
             )
+        require_finite_norms(row_norms(matrix))
         # The router serves (and later re-slices) this matrix by
         # reference, so a buffer the caller could still write is frozen
-        # into a private copy; the store's snapshots pass through.
+        # into a private copy.
         if matrix.flags.writeable or not matrix.flags.owndata:
             matrix = matrix.copy()
             matrix.setflags(write=False)
+        return self._install(matrix, generation)
+
+    def _install(self, matrix: np.ndarray, generation: int) -> int:
+        """:meth:`publish` for a read-only matrix of finite rows that
+        nobody writes, such as a store snapshot's."""
+        frontend = self.frontend
+        frontend._require_running()
         start = time.perf_counter()
         with frontend._publish_lock:
             current = frontend._current
@@ -1419,14 +1434,14 @@ class ShardedPublisher:
         so attaching to a warm store brings the tier up to date.
         """
 
+        # A store snapshot's matrix is finite and immutable.
         def _on_publish(snapshot) -> None:
-            self.publish(snapshot.matrix, snapshot.generation)
+            self._install(snapshot.matrix, snapshot.generation)
 
         store.subscribe(_on_publish)
         self._attached.append((store, _on_publish))
         if not store.empty:
-            snapshot = store.snapshot()
-            self.publish(snapshot.matrix, snapshot.generation)
+            _on_publish(store.snapshot())
 
     def detach(self) -> None:
         """Unsubscribe from every attached store (idempotent)."""

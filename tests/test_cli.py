@@ -209,6 +209,31 @@ class TestServeSim:
         assert "serving.latency.score_s" in recorded["histograms"]
 
 
+    def test_ivf_run_reports_its_misses(self, tmp_path, capsys):
+        """IVF misses count as cache misses, so a run that scanned
+        reports a hit rate below 1."""
+        import json
+
+        metrics = tmp_path / "serve_metrics.json"
+        code = main(["serve-sim", "--nodes", "1200", "--edges", "8000",
+                     "--requests", "300", "--clients", "2",
+                     "--update-batches", "0", "--index", "ivf",
+                     "--walks", "2", "--length", "4", "--dim", "4",
+                     "--w2v-epochs", "1", "--seed", "1",
+                     "--metrics-out", str(metrics)])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = lines.index(next(line for line in lines
+                                  if line.startswith("publishes")))
+        reported = float(lines[header + 2].split()[2])
+        counters = json.loads(metrics.read_text())["counters"]
+        assert counters["serving.ann.queries"] > 0
+        misses = counters["serving.index.cache_misses"]
+        hits = counters.get("serving.index.cache_hits", 0)
+        assert misses >= counters["serving.ann.queries"]
+        assert reported == round(hits / (hits + misses), 3) < 1.0
+
+
 class TestStreamSim:
     STREAM_FAST = ["--nodes", "200", "--edges", "1500",
                    "--requests", "200", "--clients", "2",

@@ -444,3 +444,228 @@ class TestServingTopKProperties:
             ids, scores = index.top_k(11, 30)
             np.testing.assert_array_equal(ids, expected_ids)
             assert scores.tobytes() == expected_scores.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Float32 screen of exact top-k
+# ---------------------------------------------------------------------------
+
+def _float64_full_scan(matrix, norms, query, query_norm, exclude, k,
+                       metric, block_size):
+    """The float64 full scan the float32 screen replaced, kept as the
+    reference: every row of every block scored by the float64 kernel,
+    each block's top taken by ``_select_top``, and the pool merged by
+    (score, lower id)."""
+    from repro.serving import RecommendationIndex
+
+    n = len(matrix)
+    k_eff = min(k, n - 1) if exclude >= 0 else min(k, n)
+    if k_eff <= 0:
+        return np.empty(0, dtype=np.int64), np.empty(0)
+    qnorm = 1.0 if query_norm == 0.0 else query_norm
+    pool_ids, pool_scores = [], []
+    for start in range(0, n, block_size):
+        rows = matrix[start:start + block_size]
+        ids = np.arange(start, start + len(rows))
+        scores = np.einsum("nd,d->n", rows, query)
+        if metric == "cosine":
+            block_norms = norms[start:start + block_size]
+            denom = np.where(block_norms == 0.0, 1.0, block_norms) * qnorm
+            np.maximum(denom, np.finfo(np.float64).tiny, out=denom)
+            scores /= denom
+        if start <= exclude < start + len(rows):
+            scores[exclude - start] = -np.inf
+        part = RecommendationIndex._select_top(scores,
+                                               min(k_eff, len(rows)))
+        pool_ids.append(ids[part])
+        pool_scores.append(scores[part])
+    ids, scores = np.concatenate(pool_ids), np.concatenate(pool_scores)
+    order = np.lexsort((ids, -scores))[:k_eff]
+    return ids[order], scores[order]
+
+
+#: Row scales from the float64 underflow range to the largest whose
+#: squared norm is still finite (publish rejects larger rows).
+_ROW_SCALES = (1.0, 1.0, 0.0, 1e-310, 1e-300, 1e-160, 1e-40, 2.0 ** -41,
+               2.0 ** 41, 1e40, 1e150)
+
+
+@st.composite
+def screen_catalogs(draw):
+    """Catalogs that stress the screen's bound and tie handling: rows
+    drawn from a few prototypes (duplicates tie exactly), optionally
+    nudged by a few units of 2**-30, 2**-25 or 2**-22 (near-ties that
+    float64 orders and float32 ties or flips), one scale for all rows or a scale per row (mixed
+    magnitudes in one block, zero rows), and optionally subnormal
+    entries."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    dim = draw(st.integers(min_value=1, max_value=7))
+    prototypes = draw(hnp.arrays(
+        np.float64, (draw(st.integers(1, 5)), dim),
+        elements=st.one_of(
+            st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0]),
+            st.floats(-4.0, 4.0, allow_nan=False),
+        ),
+    ))
+    picks = draw(hnp.arrays(np.int64, n,
+                            elements=st.integers(0, len(prototypes) - 1)))
+    matrix = prototypes[picks]
+    if draw(st.booleans()):
+        nudges = draw(hnp.arrays(np.int64, n, elements=st.integers(-3, 3)))
+        unit = draw(st.sampled_from([2.0 ** -30, 2.0 ** -25, 2.0 ** -22]))
+        matrix = matrix * (1.0 + nudges * unit)[:, None]
+    if draw(st.booleans()):
+        scales = draw(hnp.arrays(np.float64, n,
+                                 elements=st.sampled_from(_ROW_SCALES)))
+    else:
+        scales = np.full(n, draw(st.sampled_from(_ROW_SCALES)))
+    matrix = matrix * scales[:, None]
+    if draw(st.booleans()):
+        mask = draw(hnp.arrays(np.bool_, matrix.shape))
+        steps = draw(hnp.arrays(np.int64, matrix.shape,
+                                elements=st.integers(-6, 6)))
+        matrix = np.where(mask, steps * 5e-324, matrix)
+    return matrix
+
+
+class TestFloat32ScreenProperties:
+    """Screened exact top-k ≡ the float64 full scan, in ids and bytes.
+
+    The screen keeps every row whose float32 score could reach a
+    block's k-th best under a rigorous error bound and re-scores only
+    those in float64, so no input may change an answer: not ties at
+    the k-th score, duplicate or zero rows, magnitudes at either end
+    of float64's range, subnormal entries, ``k >= n``, self-exclusion,
+    one-row or odd-sized blocks, nor a query vector shipped to a shard.
+    """
+
+    @given(screen_catalogs(), st.sampled_from(["dot", "cosine"]),
+           st.sampled_from([1, 2, 3, 5, 7, 16, 8192]), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_screened_topk_matches_float64_full_scan(self, matrix, metric,
+                                                     block_size, data):
+        from repro.serving import EmbeddingStore, RecommendationIndex
+
+        store = EmbeddingStore()
+        snapshot = store.publish(matrix, generation=0)
+        index = RecommendationIndex(store, cache_size=0,
+                                    block_size=block_size, metric=metric)
+        n = len(matrix)
+        k = data.draw(st.integers(1, n + 3), label="k")
+        node = data.draw(st.integers(0, n - 1), label="node")
+        ids, scores = index.top_k(node, k)
+        want_ids, want_scores = _float64_full_scan(
+            snapshot.matrix, snapshot.norms, snapshot.matrix[node],
+            snapshot.norms[node], node, k, metric, block_size)
+        assert ids.tobytes() == want_ids.tobytes()
+        assert scores.tobytes() == want_scores.tobytes()
+
+    @given(screen_catalogs(), st.sampled_from(["dot", "cosine"]),
+           st.sampled_from([1, 3, 7, 8192]), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_shipped_vector_matches_float64_full_scan(self, matrix, metric,
+                                                      block_size, data):
+        """``top_k_vector`` (the shard worker's path) with a query from
+        another catalog row scaled anywhere in range, excluding a local
+        row or none."""
+        from repro.errors import ServingError
+        from repro.serving import EmbeddingStore, RecommendationIndex
+
+        store = EmbeddingStore()
+        snapshot = store.publish(matrix, generation=0)
+        index = RecommendationIndex(store, cache_size=0,
+                                    block_size=block_size, metric=metric)
+        n = len(matrix)
+        k = data.draw(st.integers(1, n + 3), label="k")
+        exclude = data.draw(st.integers(-1, n - 1), label="exclude")
+        scale = data.draw(st.sampled_from([1.0, 1e-300, 2.0 ** 45, 1e120]),
+                          label="scale")
+        with np.errstate(over="ignore"):
+            vector = matrix[data.draw(st.integers(0, n - 1),
+                                      label="row")] * scale
+            norm = np.linalg.norm(vector[None, :], axis=1)[0]
+        if not np.isfinite(norm):
+            with pytest.raises(ServingError, match="finite"):
+                index.top_k_vector(vector, k, exclude_row=exclude)
+            return
+        ids, scores = index.top_k_vector(vector, k, exclude_row=exclude)
+        want_ids, want_scores = _float64_full_scan(
+            snapshot.matrix, snapshot.norms, vector, norm, exclude, k,
+            metric, block_size)
+        assert ids.tobytes() == want_ids.tobytes()
+        assert scores.tobytes() == want_scores.tobytes()
+
+    @pytest.mark.parametrize("block_size", [2, 3, 8192])
+    def test_float32_order_flip_keeps_the_float64_winner(self, block_size):
+        """Row 0 outscores row 1 in float64, but rounding to float32
+        flips them: row 0's 1 + 0.49 ulp rounds down and cancels to 0,
+        row 1's 1 + 0.51 ulp rounds up and leaves one float32 ulp.  The
+        float32 k-th best alone would drop the true winner; the bound
+        keeps it."""
+        from repro.serving import EmbeddingStore, RecommendationIndex
+
+        ulp = 2.0 ** -23
+        matrix = np.array([[1.0 + 0.49 * ulp, -1.0],
+                           [1.0 + 0.51 * ulp, -1.0 - 0.03 * ulp],
+                           [0.5, -1.0], [-1.0, 0.0]])
+        query = np.ones(2)
+        assert np.float32(matrix[1, 0]) > np.float32(matrix[0, 0])
+        store = EmbeddingStore()
+        store.publish(matrix, generation=0)
+        index = RecommendationIndex(store, cache_size=0,
+                                    block_size=block_size)
+        for k in (1, 2):
+            ids, scores = index.top_k_vector(query, k)
+            want_ids, want_scores = _float64_full_scan(
+                matrix, np.linalg.norm(matrix, axis=1), query,
+                np.sqrt(2.0), -1, k, "dot", block_size)
+            assert ids.tolist() == want_ids.tolist() == [0, 1][:k]
+            assert scores.tobytes() == want_scores.tobytes()
+
+    @given(screen_catalogs())
+    @settings(max_examples=100, deadline=None)
+    def test_blocked_publish_norms_match_linalg_norm(self, matrix):
+        from repro.serving import EmbeddingStore
+
+        snapshot = EmbeddingStore().publish(matrix, generation=0)
+        want = np.linalg.norm(matrix, axis=1)
+        assert snapshot.norms.tobytes() == want.tobytes()
+
+    def test_blocked_publish_norms_span_publish_blocks(self):
+        from repro.serving import EmbeddingStore
+
+        rng = np.random.default_rng(11)
+        matrix = rng.standard_normal((4_500, 9)) * rng.choice(
+            [1e-200, 1.0, 1e100], size=(4_500, 1))
+        snapshot = EmbeddingStore().publish(matrix, generation=0)
+        want = np.linalg.norm(matrix, axis=1)
+        assert snapshot.norms.tobytes() == want.tobytes()
+        assert snapshot.matrix.tobytes() == matrix.tobytes()
+
+    def test_rescored_rows_repeat_per_seed_and_stay_few(self):
+        """``serving.index.rescored_rows`` is a function of the inputs
+        (two runs of one seed count the same), and on a Gaussian
+        catalog the screen re-scores a small share of the scanned
+        rows."""
+        from repro.observability import Recorder, use_recorder
+        from repro.serving import EmbeddingStore, RecommendationIndex
+
+        def run(seed: int) -> dict:
+            rng = np.random.default_rng(seed)
+            store = EmbeddingStore()
+            store.publish(rng.standard_normal((3_000, 16)), generation=0)
+            recorder = Recorder()
+            with use_recorder(recorder):
+                index = RecommendationIndex(store, cache_size=0,
+                                            block_size=500)
+                index.top_k_batch([(int(node), 10) for node in
+                                   rng.integers(0, 3_000, size=8)])
+                for node in rng.integers(0, 3_000, size=8):
+                    index.top_k(int(node), 10)
+            return recorder.counters
+
+        first, second = run(5), run(5)
+        rescored = first["serving.index.rescored_rows"]
+        assert rescored == second["serving.index.rescored_rows"]
+        assert first["serving.index.gemm_rows"] == 16 * 3_000
+        assert 16 * 10 * 6 <= rescored < first["serving.index.gemm_rows"] / 10

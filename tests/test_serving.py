@@ -102,6 +102,46 @@ class TestEmbeddingStore:
         with pytest.raises(ServingError, match="2-D"):
             store.publish(np.ones(4), generation=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+    def test_non_finite_publish_keeps_the_served_version(self, rng, bad):
+        """A row whose norm is not finite (NaN, inf, or squares that
+        overflow) is rejected; the frontend keeps answering at the
+        previous version, bit-identically to its own earlier answers."""
+        matrix = rng.standard_normal((30, 4))
+        store = make_store(matrix, generation=1)
+        with ServingFrontend(store, FAST_CONFIG) as frontend:
+            before = [frontend.top_k(node, 4, timeout=5.0)
+                      for node in (0, 11)]
+            link = frontend.score_link(0, 11, timeout=5.0)
+            poisoned = rng.standard_normal((30, 4))
+            poisoned[11, 3] = bad
+            with pytest.raises(ServingError, match="finite: row 11"):
+                store.publish(poisoned, generation=2)
+            assert store.version == 1 and store.generation == 1
+            for node, (ids, scores) in zip((0, 11), before):
+                got_ids, got_scores = frontend.top_k(node, 4, timeout=5.0)
+                assert got_ids.tobytes() == ids.tobytes()
+                assert got_scores.tobytes() == scores.tobytes()
+            assert frontend.score_link(0, 11, timeout=5.0) == link
+
+    @pytest.mark.parametrize("scale, scaled", [
+        (1.0, False), (2.0 ** 30, False), (1e100, True), (1e-100, True),
+    ])
+    def test_float32_shadow_is_scaled_into_range(self, rng, scale, scaled):
+        """The shadow is the float32 rounding of ``matrix * 2**exp``,
+        with ``exp`` nonzero only for catalogs float32 cannot hold as
+        they are; its largest row norm then lies in [0.5, 1)."""
+        matrix = rng.standard_normal((50, 6)) * scale
+        snapshot = make_store(matrix).snapshot()
+        assert (snapshot.shadow_exp != 0) == scaled
+        assert snapshot.shadow.dtype == np.float32
+        assert not snapshot.shadow.flags.writeable
+        want = np.ldexp(snapshot.matrix, snapshot.shadow_exp)
+        assert snapshot.shadow.tobytes() == want.astype(np.float32).tobytes()
+        if scaled:
+            top = np.linalg.norm(snapshot.shadow.astype(np.float64), axis=1)
+            assert 0.5 <= top.max() < 1.0 + 1e-6
+
     def test_swap_is_atomic_under_concurrent_readers(self):
         """Readers racing publishes only ever see whole snapshots.
 

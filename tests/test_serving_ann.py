@@ -497,6 +497,27 @@ class TestFrontendWiring:
         np.testing.assert_array_equal(hit[0], exact[0])
         np.testing.assert_array_equal(hit[1], exact[1])
 
+    def test_ivf_misses_count_once_and_fallbacks_are_not_recounted(self):
+        """Every distinct lookup that misses counts one cache miss in
+        either mode, so an IVF run's hit rate is below 1 when it scans;
+        an IVF miss that falls back to exact is not counted again."""
+        rng = np.random.default_rng(6)
+        store = make_store(clustered_matrix(rng, 400, 8))
+        manager = make_manager(store, nlist=10, nprobe=1)
+        index = RecommendationIndex(store, cache_size=64, ann=manager)
+        recorder = Recorder()
+        with use_recorder(recorder):
+            index.top_k_batch([(7, 10, "ivf"), (7, 10, "ivf"),
+                               (8, 10, "ivf")])
+            index.top_k(7, 10, mode="ivf")
+            # k = n - 1 cannot be served from one probed cell.
+            index.top_k(9, 399, mode="ivf")
+        counters = recorder.counters
+        assert counters["serving.index.cache_misses"] == 3
+        assert counters["serving.index.cache_hits"] == 1
+        assert counters[
+            "serving.ann.fallbacks.insufficient_candidates"] == 1
+
     def test_recall_sampling_records_histogram(self):
         rng = np.random.default_rng(3)
         store = make_store(clustered_matrix(rng, 1000, 8))

@@ -259,6 +259,34 @@ class TestVersionAtomicity:
                 publisher.publish(rng.standard_normal((10, 4)),
                                   generation=4)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+    def test_non_finite_publish_is_rejected_before_any_install(self, bad):
+        """A row whose norm is not finite (NaN, inf, or squares that
+        overflow) is refused before a worker sees it: the workers'
+        install count does not move, and the tier keeps answering at
+        the previous version, bit-identically to its oracle."""
+        rng = np.random.default_rng(22)
+        matrix = rng.standard_normal((40, 4))
+        oracle = oracle_for(matrix)
+        with ShardedFrontend(ShardPlan(2, "hash")).start() as frontend:
+            publisher = ShardedPublisher(frontend)
+            version = publisher.publish(matrix, generation=1)
+            installs = frontend.worker_metrics()["counters"][
+                "serving.store.publishes"]
+            poisoned = rng.standard_normal((40, 4))
+            poisoned[17, 2] = bad
+            with pytest.raises(ServingError, match="finite: row 17"):
+                publisher.publish(poisoned, generation=2)
+            assert frontend.version == version
+            assert frontend.generation == 1
+            assert frontend.worker_metrics()["counters"][
+                "serving.store.publishes"] == installs
+            for node in (0, 17, 39):
+                ids, scores = frontend.top_k(node, 5)
+                want_ids, want_scores = oracle.top_k(node, 5)
+                assert ids.tobytes() == want_ids.tobytes()
+                assert scores.tobytes() == want_scores.tobytes()
+
     def test_publish_freezes_a_writeable_caller_buffer(self):
         rng = np.random.default_rng(23)
         matrix = rng.standard_normal((60, 4))
