@@ -97,14 +97,9 @@ def _add_pipeline_arguments(parser: argparse.ArgumentParser) -> None:
                                 "softmax-recency", "linear"],
                        help="Eq. 1 transition bias")
     group.add_argument("--sampler", default="cdf",
-                       choices=["cdf", "gumbel", "batched"],
-                       help="walk step kernel: exact inverse-CDF (cdf), "
-                            "paper-faithful scan (gumbel), or the "
-                            "frontier-batched window-table kernel "
-                            "(batched; see docs/walk_kernels.md)")
-    group.add_argument("--walk-windows", type=int, default=64,
-                       help="time windows per node for --sampler=batched "
-                            "(table memory vs rejection acceptance)")
+                       choices=["cdf", "gumbel"],
+                       help="walk step kernel: exact inverse-CDF (cdf) "
+                            "or paper-faithful scan (gumbel)")
     group.add_argument("--dim", type=int, default=8,
                        help="embedding dimension (d)")
     group.add_argument("--w2v-epochs", type=int, default=5,
@@ -166,7 +161,6 @@ def _pipeline_from_args(args: argparse.Namespace) -> Pipeline:
             num_walks_per_node=args.walks,
             max_walk_length=args.length,
             bias=args.bias,
-            num_windows=args.walk_windows,
         ),
         sgns=SgnsConfig(dim=args.dim, epochs=args.w2v_epochs),
         batch_sentences=args.batch_sentences,
@@ -305,7 +299,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
         walk_kernel,
         word2vec_kernel,
     )
-    from repro.walk.batched import make_walk_engine
+    from repro.walk.engine import TemporalWalkEngine
 
     edges = generators.erdos_renyi_temporal(args.nodes, args.edges,
                                             seed=args.seed)
@@ -314,12 +308,11 @@ def cmd_characterize(args: argparse.Namespace) -> int:
           f"{graph.num_edges} edges")
 
     with _observability(args):
-        engine = make_walk_engine(graph, sampler=args.sampler)
+        engine = TemporalWalkEngine(graph, sampler=args.sampler)
         with get_recorder().span("rwalk"):
             corpus = engine.run(
                 WalkConfig(num_walks_per_node=args.walks,
-                           max_walk_length=args.length, bias=args.bias,
-                           num_windows=args.walk_windows),
+                           max_walk_length=args.length, bias=args.bias),
                 seed=args.seed,
             )
         walk_stats = engine.last_stats
@@ -950,7 +943,7 @@ def _add_embedding_arguments(parser: argparse.ArgumentParser, walks: int,
     """Hyperparameters of the sims' incremental embedder."""
     group = parser.add_argument_group("embedding hyperparameters")
     group.add_argument("--sampler", default="cdf",
-                       choices=["cdf", "gumbel", "batched"],
+                       choices=["cdf", "gumbel"],
                        help="walk kernel for incremental refresh walks")
     group.add_argument("--walks", type=int, default=walks,
                        help="random walks per node (K)")

@@ -403,10 +403,10 @@ class RecommendationIndex:
 
         Each request is ``(node, k)`` or ``(node, k, mode)``.  Cache
         hits are answered in place; the distinct exact misses ride the
-        shared pass together, each scored by the single-query kernel
-        (duplicates share the answer), while ANN requests score only
-        their probed candidate rows.  Each distinct lookup that misses
-        counts one ``serving.index.cache_misses``, in either mode.  The
+        shared pass together, each scored by the single-query kernel,
+        while each distinct ANN miss scores only its probed candidate
+        rows; in either mode duplicates share the answer.  Each distinct
+        lookup that misses counts one ``serving.index.cache_misses``.  The
         whole batch answers from the one snapshot taken here — cache
         lookups and the ANN index are pinned to its version, so
         a publish (or an index build) racing the batch can never mix
@@ -446,13 +446,19 @@ class RecommendationIndex:
                     continue
             exact_misses.append((i, node, k))
 
+        # Distinct IVF misses run one ANN query each; duplicates share it.
+        ivf_computed: dict[tuple[int, int], TopK | None] = {}
         for i, node, k in ivf_misses:
-            result = self._compute_ivf(snapshot, ann_index, node, k)
+            if (node, k) not in ivf_computed:
+                result = self._compute_ivf(snapshot, ann_index, node, k)
+                ivf_computed[(node, k)] = result
+                if result is not None:
+                    self._fill(snapshot, node, k, "ivf", result)
+            result = ivf_computed[(node, k)]
             if result is None:  # not enough candidates: exact fallback
                 exact_misses.append((i, node, k))
-                continue
-            results[i] = result
-            self._fill(snapshot, node, k, "ivf", result)
+            else:
+                results[i] = result
 
         # Distinct exact misses ride the shared pass together.
         riders: dict[tuple[int, int], _Rider | None] = {}

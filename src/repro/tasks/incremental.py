@@ -26,7 +26,6 @@ from repro.errors import EmbeddingError
 from repro.graph.csr import TemporalGraph
 from repro.graph.dynamic import DynamicTemporalGraph
 from repro.rng import SeedLike, make_rng
-from repro.walk.batched import make_walk_engine
 from repro.walk.config import WalkConfig
 from repro.walk.engine import TemporalWalkEngine
 
@@ -78,12 +77,8 @@ class IncrementalEmbedder:
         A fresh engine rebuilds the O(E) softmax step table (plus its
         ``exp`` work) on first use; constructing one per update made
         that the dominant avoidable cost of the serving ingest path.
-        The engine — and with it every cached table — is reused until
-        :class:`DynamicTemporalGraph` bumps its generation.  With
-        ``sampler="batched"`` the cached tables also include the
-        window/successor tables, and a finite ``walk_config.time_window``
-        bounds each affected node's re-walk scan, so per-update refresh
-        work stays bounded as the graph grows.
+        The engine — and with it its cached step table — is reused until
+        :class:`DynamicTemporalGraph` bumps its generation.
         """
         generation = self.dynamic.generation
         if (
@@ -91,7 +86,7 @@ class IncrementalEmbedder:
             or self._engine_generation != generation
             or self._engine.graph is not graph
         ):
-            self._engine = make_walk_engine(graph, sampler=self.sampler)
+            self._engine = TemporalWalkEngine(graph, sampler=self.sampler)
             self._engine_generation = generation
         return self._engine
 

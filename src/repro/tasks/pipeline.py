@@ -37,8 +37,7 @@ from repro.tasks.node_classification import (
 )
 from repro.walk.config import WalkConfig
 from repro.walk.corpus import WalkCorpus
-from repro.walk.batched import KERNEL_CHOICES, make_walk_engine
-from repro.walk.engine import WalkStats
+from repro.walk.engine import SAMPLER_CHOICES, TemporalWalkEngine, WalkStats
 
 
 @dataclass(frozen=True)
@@ -87,10 +86,10 @@ class PipelineConfig:
                 "batch_sentences must be an int >= 1, got "
                 f"{self.batch_sentences!r}"
             )
-        if self.sampler not in KERNEL_CHOICES:
+        if self.sampler not in SAMPLER_CHOICES:
             raise PipelineError(
                 f"unknown sampler {self.sampler!r}; "
-                f"options: {sorted(KERNEL_CHOICES)}"
+                f"options: {sorted(SAMPLER_CHOICES)}"
             )
         if self.resume and not self.checkpoint_dir:
             raise PipelineError("resume=True requires checkpoint_dir")
@@ -276,7 +275,7 @@ class Pipeline:
                 span.annotate(cached=True)
             else:
                 span.annotate(cached=False)
-                engine = make_walk_engine(graph, sampler=cfg.sampler)
+                engine = TemporalWalkEngine(graph, sampler=cfg.sampler)
                 corpus = engine.run(cfg.walk, seed=rng)
                 assert engine.last_stats is not None
                 walk_stats = engine.last_stats

@@ -4,10 +4,9 @@
   node ``K``, walk length ``L``, and the transition bias (Eq. 1).
 - :class:`TemporalWalkEngine` — the vectorized walk kernel; one call
   produces the full ``|V| x K`` walk matrix plus work statistics that feed
-  the hardware models.
-- :class:`BatchedWalkEngine` — the frontier-batched window-table kernel
-  (same contract and distribution, O(1) table lookups per step); pick an
-  engine by name with :func:`make_walk_engine`.
+  the hardware models.  ``sampler="cdf"`` (inverse-CDF search, the
+  production kernel) and ``sampler="gumbel"`` (the paper's O(M) scan)
+  draw from the same distribution.
 - :func:`run_walks_reference` — a straightforward scalar implementation
   used as a correctness oracle in tests.
 - :class:`WalkCorpus` — the walk matrix with the length histogram of
@@ -15,11 +14,6 @@
 """
 
 from repro.walk.analysis import CorpusCoverage, corpus_coverage
-from repro.walk.batched import (
-    KERNEL_CHOICES,
-    BatchedWalkEngine,
-    make_walk_engine,
-)
 from repro.walk.config import WalkConfig
 from repro.walk.corpus import WalkCorpus
 from repro.walk.engine import TemporalWalkEngine, WalkStats
@@ -36,9 +30,6 @@ __all__ = [
     "WalkConfig",
     "WalkCorpus",
     "TemporalWalkEngine",
-    "BatchedWalkEngine",
-    "make_walk_engine",
-    "KERNEL_CHOICES",
     "WalkStats",
     "run_walks_reference",
     "BIAS_CHOICES",

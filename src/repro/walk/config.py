@@ -18,6 +18,10 @@ from repro.walk.sampling import BIAS_CHOICES
 class WalkConfig:
     """Hyperparameters of the temporal random walk kernel.
 
+    Every field shapes the sampled walks; the step sampler (``cdf`` or
+    ``gumbel``, same distribution) is chosen on
+    :class:`~repro.walk.engine.TemporalWalkEngine`, not here.
+
     Parameters
     ----------
     num_walks_per_node:
@@ -57,19 +61,6 @@ class WalkConfig:
         directions: ``softmax-late`` always favors later timestamps,
         which for a backward walk means the edges nearest the current
         clock.
-    num_windows:
-        ``B`` — how many equal-width windows the batched kernel
-        (``sampler="batched"``) partitions the graph's time axis into
-        when it builds its per-(node, window) CDF prefix blocks.  More
-        windows mean more table memory (``O(|V| * B)``) but a higher
-        within-window rejection-sampling acceptance rate (roughly
-        ``exp(-span_B / temperature)`` per window span ``span_B``); the
-        default of 64 keeps acceptance above 98% at the paper's
-        temperature (the full time span) while the tables stay a small
-        multiple of the graph itself.  Ignored by the ``cdf`` and
-        ``gumbel`` samplers.  The sampled distribution is exact for any
-        value — this knob trades memory against constant-factor speed
-        only.
     """
 
     num_walks_per_node: int = 10
@@ -79,7 +70,6 @@ class WalkConfig:
     temperature: float | None = None
     time_window: float | None = None
     direction: str = "forward"
-    num_windows: int = 64
 
     def __post_init__(self) -> None:
         if self.num_walks_per_node < 1:
@@ -104,10 +94,6 @@ class WalkConfig:
             raise WalkError(
                 f"direction must be 'forward' or 'backward', got "
                 f"{self.direction!r}"
-            )
-        if self.num_windows < 1:
-            raise WalkError(
-                f"num_windows must be >= 1, got {self.num_windows}"
             )
 
     @property

@@ -331,7 +331,7 @@ class TemporalWalkEngine:
             cur_time = graph.ts[edge_ids].copy()
         self._advance(
             matrix, lengths, starts, cur, cur_time, config, temperature,
-            rng, stats, first_step=2, prev_edges=edge_ids,
+            rng, stats, first_step=2,
         )
         self.last_stats = stats
         publish_walk_stats(stats)
@@ -350,16 +350,8 @@ class TemporalWalkEngine:
         rng: np.random.Generator,
         stats: WalkStats,
         first_step: int,
-        prev_edges: np.ndarray | None = None,
     ) -> None:
-        """Advance all walks from ``first_step`` until termination.
-
-        ``prev_edges`` optionally carries the edge each walk last
-        traversed (``-1`` for walks positioned by a bare clock).  The
-        oracle engine's valid-range search only needs the clock, so it
-        ignores the hint; the batched kernel uses it to replace the
-        search with an O(1) per-edge successor-table lookup.
-        """
+        """Advance all walks from ``first_step`` until termination."""
         graph = self.graph
         active = np.arange(len(cur), dtype=np.int64)
         for step in range(first_step, config.max_walk_length):

@@ -518,6 +518,22 @@ class TestFrontendWiring:
         assert counters[
             "serving.ann.fallbacks.insufficient_candidates"] == 1
 
+    def test_duplicate_ivf_misses_query_once(self):
+        """Duplicate IVF misses in one batch share one ANN query, the way
+        duplicate exact misses share one rider."""
+        rng = np.random.default_rng(6)
+        store = make_store(clustered_matrix(rng, 400, 8))
+        manager = make_manager(store, nlist=10, nprobe=1)
+        index = RecommendationIndex(store, cache_size=0, ann=manager)
+        recorder = Recorder()
+        with use_recorder(recorder):
+            answers = index.top_k_batch([(7, 10, "ivf")] * 3)
+        assert recorder.counters["serving.ann.queries"] == 1
+        want_ids, want_scores = index.top_k(7, 10, mode="ivf")
+        for ids, scores in answers:
+            np.testing.assert_array_equal(ids, want_ids)
+            np.testing.assert_array_equal(scores, want_scores)
+
     def test_recall_sampling_records_histogram(self):
         rng = np.random.default_rng(3)
         store = make_store(clustered_matrix(rng, 1000, 8))

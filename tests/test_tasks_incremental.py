@@ -108,14 +108,14 @@ class TestIncrementalEmbedder:
         import repro.tasks.incremental as incremental_mod
 
         constructions = []
-        real_make = incremental_mod.make_walk_engine
+        real_engine = incremental_mod.TemporalWalkEngine
 
-        def counting_make(graph, sampler="cdf"):
+        def counting_engine(graph, sampler="cdf"):
             constructions.append(graph)
-            return real_make(graph, sampler=sampler)
+            return real_engine(graph, sampler=sampler)
 
-        monkeypatch.setattr(incremental_mod, "make_walk_engine",
-                            counting_make)
+        monkeypatch.setattr(incremental_mod, "TemporalWalkEngine",
+                            counting_engine)
         initial, tail = evolving
         dynamic, embedder = self.make(initial)
         embedder.rebuild()

@@ -136,3 +136,7 @@ class TestPipelineConfigKnobs:
         )
         emb, _, walk_stats, _, _ = Pipeline(cfg).embed(email_edges, seed=6)
         assert walk_stats.total_steps > 0
+        # "batched" named the deleted window-table kernel.
+        for sampler in ("magic", "batched"):
+            with pytest.raises(PipelineError, match="unknown sampler"):
+                PipelineConfig(sampler=sampler)

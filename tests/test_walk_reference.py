@@ -11,6 +11,8 @@ import pytest
 from repro.graph import TemporalGraph, generators
 from repro.walk import TemporalWalkEngine, WalkConfig, run_walks_reference
 
+pytestmark = pytest.mark.kernels
+
 
 @pytest.fixture(scope="module")
 def small_graph():
