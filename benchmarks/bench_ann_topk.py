@@ -15,10 +15,10 @@ embeddings of community-structured graphs actually take):
 - ``10^6 nodes x 16 dims``: one large config recorded (no gate) to
   show the scaling headroom on a single core.
 
-Queries are timed one at a time (``m=1``) because that is the serving
-fast path the micro-batcher falls back to under low concurrency; both
-paths share the same blocked scorer, so the comparison isolates the
-candidate-generation win.  Saved to ``bench_results/ann_topk.json``.
+Queries are timed one at a time (``m=1``) because the serving frontend
+scores every top-k request as one query; both paths share the same
+blocked scorer, so the comparison isolates the candidate-generation
+win.  Saved to ``bench_results/ann_topk.json``.
 """
 
 import time

@@ -24,7 +24,7 @@ Package map:
 - :mod:`repro.tasks` — data preparation, the downstream tasks, and the
   end-to-end :class:`Pipeline`;
 - :mod:`repro.serving` — the online serving tier (versioned store,
-  micro-batching, top-k, the multiprocess sharded tier);
+  link scores, top-k, the multiprocess sharded tier);
 - :mod:`repro.stream` — durable streaming ingest (WAL, queue,
   controller);
 - :mod:`repro.hwmodel` — instruction/cache/GPU/thread models for the

@@ -18,8 +18,8 @@ the equivalent front door:
 - ``repro serve-sim``, ``repro stream-sim``, ``repro pipeline-sim`` —
   three presets of one online-deployment runner (:func:`_run_sim`):
   split an edge stream into an initial graph and live batches, build
-  the incremental embedder, serve it (the in-process micro-batched
-  frontend at ``--shards 1``, the replicated sharded tier of
+  the incremental embedder, serve it (the in-process frontend at
+  ``--shards 1``, the replicated sharded tier of
   :mod:`repro.serving.sharding` above), feed the live batches through
   the bounded ingest queue into the
   :class:`~repro.stream.controller.StreamController` (optional WAL
@@ -635,8 +635,8 @@ def _check_sharded_flags(args: argparse.Namespace) -> None:
 def _serving_tier(args: argparse.Namespace, store) -> Iterator:
     """Open the frontend the load runs against.
 
-    One shard is the in-process micro-batched :class:`ServingFrontend`
-    reading ``store`` directly; more is the replicated sharded tier,
+    One shard is the in-process :class:`ServingFrontend` reading
+    ``store`` directly; more is the replicated sharded tier,
     which a :class:`ShardedPublisher` keeps in step with ``store``.
     """
     from repro.serving import (
@@ -650,8 +650,6 @@ def _serving_tier(args: argparse.Namespace, store) -> Iterator:
 
     if args.shards <= 1:
         config = ServingConfig(
-            max_batch_size=args.max_batch_size,
-            max_delay=args.max_delay_ms / 1e3,
             default_k=args.k,
             cache_size=args.cache_size,
             index=args.index,
@@ -901,16 +899,11 @@ def _run_sim(args: argparse.Namespace) -> int:
         else:
             hits = counters.get("serving.index.cache_hits", 0)
             misses = counters.get("serving.index.cache_misses", 0)
-            batch_hist = recorder.histograms.get("serving.batch.size")
             tables.append(([{
                 "publishes": int(counters.get("serving.store.publishes", 0)),
                 "served generation": int(store.generation),
                 "cache hit rate": (round(hits / (hits + misses), 3)
                                    if hits + misses else 0.0),
-                # Only link scores are micro-batched; top-k scans per
-                # request.
-                "mean link batch": (round(batch_hist.mean, 2)
-                                    if batch_hist else 0.0),
                 "gemm rows": int(counters.get("serving.index.gemm_rows", 0)),
             }], "Serving internals (recorder)"))
             if args.index == "ivf":
@@ -973,13 +966,7 @@ def _add_load_arguments(group, clients: int, requests: int) -> None:
 
 
 def _add_frontend_arguments(group) -> None:
-    """Micro-batching, cache and index knobs of the serving frontend."""
-    group.add_argument("--max-batch-size", type=int, default=64,
-                       help="link-score micro-batch size cap "
-                            "(1 = single-request baseline)")
-    group.add_argument("--max-delay-ms", type=float, default=2.0,
-                       help="link-score micro-batch max wait in "
-                            "milliseconds")
+    """Cache and index knobs of the serving frontend."""
     group.add_argument("--cache-size", type=int, default=4096,
                        help="top-k LRU cache entries (0 disables)")
     group.add_argument("--index", default="exact",
@@ -1103,7 +1090,7 @@ def build_parser() -> argparse.ArgumentParser:
     # own flags and defaults, and set_defaults() fills in what it fixes.
     serve = sub.add_parser(
         "serve-sim",
-        help="online serving simulation (embedding store + micro-batched "
+        help="online serving simulation (embedding store + serving "
              "frontend under closed-loop load)",
     )
     _add_input_arguments(serve, nodes=2_000, edges=20_000)

@@ -52,7 +52,8 @@ class ServingError(ReproError):
 
     Covers the :mod:`repro.serving` layer: reading from an empty
     embedding store, publishing an older generation over a newer one,
-    submitting to a closed batch scheduler, and malformed queries.
+    querying a frontend that is not started or is closed, and
+    malformed queries.
     """
 
 

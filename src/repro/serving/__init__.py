@@ -1,4 +1,4 @@
-"""Online serving layer: versioned embeddings, micro-batching, top-k.
+"""Online serving layer: versioned embeddings, link scores, top-k.
 
 This package is the query half of the §VII-B deployment loop.  The
 ingest half already exists (:class:`~repro.graph.dynamic
@@ -8,10 +8,6 @@ ingest half already exists (:class:`~repro.graph.dynamic
 - :class:`EmbeddingStore` — versioned, atomically-swapped embedding
   snapshots keyed by graph generation (readers never block a swap and
   read consistent-but-stale data until they re-fetch);
-- :class:`BatchScheduler` — micro-batching of link-score requests
-  under ``max_batch_size`` / ``max_delay`` knobs, amortizing
-  per-request overhead the way Fig. 5's sentence batching amortizes
-  kernel launches;
 - :class:`RecommendationIndex` — blocked top-k over the embedding
   matrix by one single-query kernel, with a per-``(node, k)`` LRU
   cache invalidated by snapshot version bump;
@@ -20,8 +16,9 @@ ingest half already exists (:class:`~repro.graph.dynamic
   asynchronously per published snapshot with version pinning; the
   brute-force path stays the oracle and the automatic fallback;
 - :class:`ServingFrontend` — the thread-safe query surface client
-  threads call: batched link scores, and top-k misses that share one
-  caller-driven pass over the catalog;
+  threads call: link scores and top-k, each answered on its caller's
+  thread, with top-k misses sharing one caller-driven pass over the
+  catalog;
 - :class:`ShardPlan` / :class:`ShardedFrontend` /
   :class:`ShardedPublisher` — the scatter/gather sharded tier: the
   embedding space partitioned across worker processes (R replicas per
@@ -37,7 +34,7 @@ ingest half already exists (:class:`~repro.graph.dynamic
   :meth:`ShardedFrontend.rebalance` on sustained per-shard load skew
   or catalog growth (hysteresis + cooldown);
 - :func:`run_load` — a closed-loop load generator for the ``serve-sim``
-  CLI subcommand and ``bench_serving_throughput``.
+  CLI subcommand.
 
 See ``docs/serving.md`` for architecture, staleness semantics, and the
 metric catalog, and ``docs/ann_index.md`` for the IVF design and its
@@ -45,7 +42,6 @@ recall/latency trade-offs.
 """
 
 from repro.serving.ann import IvfConfig, IvfIndex, IvfIndexManager
-from repro.serving.batching import BatchFuture, BatchScheduler
 from repro.serving.controlplane import (
     ControlPlane,
     ControlPlaneConfig,
@@ -65,8 +61,6 @@ from repro.serving.sharding import (
 from repro.serving.store import EmbeddingSnapshot, EmbeddingStore
 
 __all__ = [
-    "BatchFuture",
-    "BatchScheduler",
     "ControlPlane",
     "ControlPlaneConfig",
     "EmbeddingShard",

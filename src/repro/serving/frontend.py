@@ -1,16 +1,16 @@
 """Thread-based serving frontend: link scores and top-k recommendations.
 
 :class:`ServingFrontend` is the in-process query surface of the online
-loop.  Client threads call :meth:`score_link` / :meth:`top_k`.  Link
-scores flow through a :class:`~repro.serving.batching.BatchScheduler`,
-so concurrent callers share one vectorized evaluation.  Top-k never
-waits for a batch: a cache hit answers from the
-:class:`~repro.serving.index.RecommendationIndex`'s generation-keyed
-LRU, and a miss joins the index's shared pass over one snapshot at the
-next block and leaves it after one full cycle.  Concurrent misses read
-each block from memory once, and one client thread at a time drives
-the pass, so the read path's scans take one core however many clients
-wait on them.  Every answer is bit-identical to
+loop.  Client threads call :meth:`score_link` / :meth:`top_k`, and
+each request runs on its caller's thread.  A link score is
+:func:`~repro.serving.store.link_score` on the served matrix, the same
+function the sharded router answers with.  A top-k cache hit answers
+from the :class:`~repro.serving.index.RecommendationIndex`'s
+generation-keyed LRU, and a miss joins the index's shared pass over
+one snapshot at the next block and leaves it after one full cycle.
+Concurrent misses read each block from memory once, and one client
+thread at a time drives the pass, so the read path's scans take one
+core however many clients wait on them.  Every answer is bit-identical to
 :meth:`RecommendationIndex.top_k
 <repro.serving.index.RecommendationIndex.top_k>` whatever else is in
 flight.
@@ -20,9 +20,9 @@ rebuilds a sub-linear IVF index after every publish and top-k requests
 route through it (with automatic exact fallback; a per-query ``mode=``
 overrides the default in either direction).  Everything is instrumented
 through the ambient recorder: request counters per type, end-to-end
-latency histograms (``serving.latency.*``), cache hit/miss, link-score
-batch sizes, snapshot-swap and ``serving.ann.*`` counters (see
-docs/serving.md for the catalog).
+latency histograms (``serving.latency.*``), cache hit/miss,
+snapshot-swap and ``serving.ann.*`` counters (see docs/serving.md for
+the catalog).
 """
 
 from __future__ import annotations
@@ -30,36 +30,26 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import ServingError
 from repro.observability import get_recorder
 from repro.serving.ann import INDEX_CHOICES, IvfConfig, IvfIndexManager
-from repro.serving.batching import BatchFuture, BatchScheduler
 from repro.serving.index import METRIC_CHOICES, RecommendationIndex, TopK
-from repro.serving.store import EmbeddingStore
+from repro.serving.store import EmbeddingStore, link_score
 
 
 @dataclass(frozen=True)
 class ServingConfig:
     """Knobs of the serving frontend.
 
-    ``max_batch_size`` / ``max_delay`` bound each link-score
-    micro-batch (see :class:`BatchScheduler`); top-k never waits for a
-    batch.  ``default_k``, ``cache_size``, ``block_size`` and
-    ``metric`` configure the recommendation index.
-    ``max_batch_size=1`` degenerates to the single-request link-score
-    path (every request is its own batch), which is the baseline the
-    serving bench measures against.  ``index="ivf"`` routes top-k through the
-    approximate IVF index (built per published snapshot; ``ann`` holds
-    its :class:`~repro.serving.ann.IvfConfig`, defaulted when omitted);
-    ``index="exact"`` keeps the brute-force oracle as the default while
-    still honoring per-query ``mode="ivf"`` overrides when ``ann`` is
-    configured.
+    ``default_k``, ``cache_size``, ``block_size`` and ``metric``
+    configure the recommendation index.  ``index="ivf"`` routes top-k
+    through the approximate IVF index (built per published snapshot;
+    ``ann`` holds its :class:`~repro.serving.ann.IvfConfig`, defaulted
+    when omitted); ``index="exact"`` keeps the brute-force oracle as
+    the default while still honoring per-query ``mode="ivf"`` overrides
+    when ``ann`` is configured.
     """
 
-    max_batch_size: int = 64
-    max_delay: float = 0.002
     default_k: int = 10
     cache_size: int = 4096
     block_size: int = 8192
@@ -68,14 +58,6 @@ class ServingConfig:
     ann: IvfConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.max_batch_size < 1:
-            raise ServingError(
-                f"max_batch_size must be >= 1, got {self.max_batch_size}"
-            )
-        if self.max_delay < 0:
-            raise ServingError(
-                f"max_delay must be >= 0, got {self.max_delay}"
-            )
         if self.default_k < 1:
             raise ServingError(f"default_k must be >= 1, got {self.default_k}")
         if self.metric not in METRIC_CHOICES:
@@ -112,12 +94,6 @@ class ServingFrontend:
             ann=self.ann,
             default_mode=self.config.index,
         )
-        self._score_batcher = BatchScheduler(
-            self._process_scores,
-            max_batch_size=self.config.max_batch_size,
-            max_delay=self.config.max_delay,
-            name="link-score",
-        )
         self._started = False
         self._closed = False
 
@@ -128,19 +104,19 @@ class ServingFrontend:
 
     # ------------------------------------------------------------------
     def start(self) -> "ServingFrontend":
-        """Start the link-score scheduler (idempotent); returns self."""
-        self._score_batcher.start()
+        """Open the frontend for requests (idempotent); returns self."""
+        if self._closed:
+            raise ServingError("frontend is closed; cannot start")
         self._started = True
         return self
 
     def close(self) -> None:
-        """Drain in-flight link scores and stop serving.
+        """Stop serving.
 
-        A top-k scan already in flight finishes; a later cache miss
-        raises :class:`ServingError`.
+        A request already in flight finishes; a later link score or
+        top-k cache miss raises :class:`ServingError`.
         """
         self._closed = True
-        self._score_batcher.close()
         if self.ann is not None:
             self.ann.close()
 
@@ -150,42 +126,32 @@ class ServingFrontend:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
+    def _require_open(self, what: str) -> None:
+        if self._closed:
+            raise ServingError(f"frontend is closed; cannot serve {what}")
+        if not self._started:
+            raise ServingError("frontend not started; call start()")
+
     # ------------------------------------------------------------------
     # Link scoring
     # ------------------------------------------------------------------
-    def score_link_async(self, src: int, dst: int) -> BatchFuture:
-        """Enqueue one link-score request; resolves to a float."""
-        return self._score_batcher.submit((int(src), int(dst)))
-
     def score_link(self, src: int, dst: int,
                    timeout: float | None = None) -> float:
         """Similarity score of the candidate edge ``(src, dst)``.
 
-        The score is the embedding inner product — the §IV-B edge
-        representation collapsed to a ranking scalar (no classifier
-        head); higher means more likely.  Blocks until the micro-batch
-        containing this request flushes.
+        :func:`~repro.serving.store.link_score` on the served snapshot:
+        the embedding inner product, higher means more likely.
+        ``timeout`` is accepted for interface parity with
+        :meth:`top_k`; nothing here waits.
         """
         rec = get_recorder()
         start = time.monotonic()
-        result = float(self.score_link_async(src, dst).result(timeout))
+        self._require_open("link scores")
+        result = link_score(self.store.snapshot().matrix, int(src), int(dst))
         if rec.enabled:
             rec.counter("serving.requests.score")
             rec.observe("serving.latency.score_s", time.monotonic() - start)
         return result
-
-    def _process_scores(self, payloads: list[tuple[int, int]]) -> np.ndarray:
-        snapshot = self.store.snapshot()
-        pairs = np.asarray(payloads, dtype=np.int64)
-        if np.any(pairs < 0) or np.any(pairs >= snapshot.num_nodes):
-            raise ServingError(
-                f"link-score request out of range [0, {snapshot.num_nodes})"
-            )
-        return np.einsum(
-            "bd,bd->b",
-            snapshot.matrix[pairs[:, 0]],
-            snapshot.matrix[pairs[:, 1]],
-        )
 
     # ------------------------------------------------------------------
     # Top-k recommendation
@@ -202,7 +168,7 @@ class ServingFrontend:
         (full recall), ``"ivf"`` requests the approximate index (falls
         back to exact automatically when no index matches the served
         snapshot).  ``timeout`` is accepted for interface parity with
-        :meth:`score_link`; nothing here waits.
+        the sharded frontend; nothing here waits.
         """
         rec = get_recorder()
         start = time.monotonic()
@@ -210,10 +176,7 @@ class ServingFrontend:
         k = self.config.default_k if k is None else int(k)
         result = self.index.cached(node, k, mode=mode)
         if result is None:
-            if self._closed:
-                raise ServingError("frontend is closed; cannot serve top-k")
-            if not self._started:
-                raise ServingError("frontend not started; call start()")
+            self._require_open("top-k")
             result = self.index.top_k_batch([(node, k, mode)])[0]
         if rec.enabled:
             rec.counter("serving.requests.topk")

@@ -406,11 +406,13 @@ class RecommendationIndex:
         shared pass together, each scored by the single-query kernel,
         while each distinct ANN miss scores only its probed candidate
         rows; in either mode duplicates share the answer.  Each distinct
-        lookup that misses counts one ``serving.index.cache_misses``.  The
-        whole batch answers from the one snapshot taken here — cache
-        lookups and the ANN index are pinned to its version, so
-        a publish (or an index build) racing the batch can never mix
-        results from two embedding generations in one response.
+        lookup that misses counts one ``serving.index.cache_misses``,
+        plus one ``serving.ann.fallbacks`` when it asks for IVF and no
+        index is ready.  The whole batch answers from the one snapshot
+        taken here — cache lookups and the ANN index are pinned to its
+        version, so a publish (or an index build) racing the batch can
+        never mix results from two embedding generations in one
+        response.
         """
         snapshot = self.store.snapshot()
         rec = get_recorder()
@@ -432,19 +434,19 @@ class RecommendationIndex:
                 results[i] = hit
                 continue
             # One miss per distinct lookup, whichever path then answers
-            # it (an IVF miss that falls back to exact is not recounted).
+            # it (an IVF miss that falls back to exact is not recounted),
+            # and one no-index fallback per distinct IVF lookup.
             if (node, k, mode) not in missed:
                 missed.add((node, k, mode))
                 rec.counter("serving.index.cache_misses")
-            if mode == "ivf":
-                if ann_index is None:
+                if mode == "ivf" and ann_index is None:
                     # Cold store, build in flight, or store too small.
                     rec.counter("serving.ann.fallbacks")
                     rec.counter("serving.ann.fallbacks.no_index")
-                else:
-                    ivf_misses.append((i, node, k))
-                    continue
-            exact_misses.append((i, node, k))
+            if mode == "ivf" and ann_index is not None:
+                ivf_misses.append((i, node, k))
+            else:
+                exact_misses.append((i, node, k))
 
         # Distinct IVF misses run one ANN query each; duplicates share it.
         ivf_computed: dict[tuple[int, int], TopK | None] = {}

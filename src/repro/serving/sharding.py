@@ -25,9 +25,10 @@ across CPU/GPU stages, here spread across shard workers.  Five pieces:
   one replica per shard (round-robin), take each shard's local top-k,
   merge with the documented (score desc, lower global id) tie-break —
   **bit-identical** to the single-process oracle.  ``score_link`` is
-  answered at the router with the single-process frontend's einsum,
-  so it needs no live worker.  A dead replica fails over to a live
-  sibling transparently (``serving.shard.replica.failovers``); only
+  answered at the router by :func:`~repro.serving.store.link_score`,
+  as the single-process frontend answers it, so it needs no live
+  worker.  A dead replica fails over to a live sibling transparently
+  (``serving.shard.replica.failovers``); only
   when *every* replica of a shard is gone does the router degrade —
   surviving shards still answer and every partial gather is counted
   (``serving.shard.degraded_queries``).
@@ -83,6 +84,7 @@ from repro.serving.index import METRIC_CHOICES, RecommendationIndex, TopK
 from repro.serving.shared_array import SharedArray, SharedArraySpec, _mp_context
 from repro.serving.store import (
     EmbeddingStore,
+    link_score,
     require_finite_norms,
     row_norms,
 )
@@ -1204,10 +1206,10 @@ class ShardedFrontend:
                    timeout: float | None = None) -> float:
         """Similarity score of ``(src, dst)``, answered at the router.
 
-        The same einsum as ``ServingFrontend._process_scores`` on the
-        served matrix, so the score bits match the single-process
-        frontend and no worker — live or dead — is involved.
-        ``timeout`` is accepted for interface parity with
+        :func:`~repro.serving.store.link_score` on the served matrix,
+        as the single-process frontend computes it, so the score bits
+        match and no worker — live or dead — is involved.  ``timeout``
+        is accepted for interface parity with
         :class:`~repro.serving.frontend.ServingFrontend`; nothing here
         waits.
         """
@@ -1215,15 +1217,7 @@ class ShardedFrontend:
         start = time.monotonic()
         self._require_running()
         info = self._require_current()
-        src, dst = int(src), int(dst)
-        for node in (src, dst):
-            if not 0 <= node < info.num_nodes:
-                raise ServingError(
-                    f"node {node} out of range [0, {info.num_nodes})"
-                )
-        matrix = info.matrix
-        score = float(np.einsum("bd,bd->b", matrix[src][None, :],
-                                matrix[dst][None, :])[0])
+        score = link_score(info.matrix, int(src), int(dst))
         if rec.enabled:
             rec.counter("serving.shard.requests.score")
             rec.observe("serving.shard.latency.score_s",

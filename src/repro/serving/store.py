@@ -115,6 +115,23 @@ def scale_exponent(max_norm: float) -> int:
     return -math.frexp(max_norm)[1]
 
 
+def link_score(matrix: np.ndarray, src: int, dst: int) -> float:
+    """Score of the candidate edge ``(src, dst)`` over ``matrix``.
+
+    The embedding inner product — the §IV-B edge representation
+    collapsed to a ranking scalar (no classifier head); higher means
+    more likely.  Both frontends answer ``score_link`` with this one
+    function, so their score bits match.  An id outside the matrix
+    raises :class:`ServingError`.
+    """
+    num_nodes = matrix.shape[0]
+    for node in (src, dst):
+        if not 0 <= node < num_nodes:
+            raise ServingError(f"node {node} out of range [0, {num_nodes})")
+    return float(np.einsum("bd,bd->b", matrix[src][None, :],
+                           matrix[dst][None, :])[0])
+
+
 class EmbeddingSnapshot:
     """One immutable published embedding matrix.
 

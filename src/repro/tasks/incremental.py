@@ -22,12 +22,12 @@ from repro.embedding.batched import BatchedSgnsTrainer
 from repro.embedding.embeddings import NodeEmbeddings
 from repro.embedding.skipgram import SkipGramModel
 from repro.embedding.trainer import SgnsConfig
-from repro.errors import EmbeddingError
+from repro.errors import EmbeddingError, WalkError
 from repro.graph.csr import TemporalGraph
 from repro.graph.dynamic import DynamicTemporalGraph
 from repro.rng import SeedLike, make_rng
 from repro.walk.config import WalkConfig
-from repro.walk.engine import TemporalWalkEngine
+from repro.walk.engine import SAMPLER_CHOICES, TemporalWalkEngine
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.serving.store import EmbeddingStore
@@ -57,6 +57,10 @@ class IncrementalEmbedder:
         store: "EmbeddingStore | None" = None,
         sampler: str = "cdf",
     ) -> None:
+        if sampler not in SAMPLER_CHOICES:
+            raise WalkError(
+                f"unknown sampler {sampler!r}; options: {sorted(SAMPLER_CHOICES)}"
+            )
         self.dynamic = dynamic
         self.walk_config = walk_config or WalkConfig()
         self.sgns_config = sgns_config or SgnsConfig()

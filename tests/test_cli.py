@@ -334,8 +334,7 @@ SIM_SURFACE = {
         "--sampler": "cdf", "--walks": 5, "--length": 6,
         "--bias": "softmax-recency", "--dim": 8, "--w2v-epochs": 2,
         "--clients": 8, "--requests": 5000, "--topk-fraction": 0.5,
-        "--k": 10, "--max-batch-size": 64, "--max-delay-ms": 2.0,
-        "--cache-size": 4096, "--shards": 1, "--shard-plan": "hash",
+        "--k": 10, "--cache-size": 4096, "--shards": 1, "--shard-plan": "hash",
         "--replicas": 1, "--rebalance-every": 0.0, "--kill-replica": None,
         "--index": "exact", "--nlist": None, "--nprobe": 8,
         "--ann-recall-every": 100, "--autoscale": False,
@@ -356,7 +355,6 @@ SIM_SURFACE = {
         "--staleness-seconds": 0.5, "--affected-fraction": 0.1,
         "--batches": 8, "--batch-interval": 0.02, "--clients": 4,
         "--requests": 2000, "--topk-fraction": 0.5, "--k": 10,
-        "--max-batch-size": 64, "--max-delay-ms": 2.0,
         "--cache-size": 4096, "--index": "exact", "--nlist": None,
         "--nprobe": 8, "--ann-recall-every": 100, "--metrics-out": None,
         "--trace-out": None, "--seed": 0,

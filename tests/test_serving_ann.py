@@ -346,6 +346,22 @@ class TestEdgeCases:
             assert len(ids) == 5
             assert recorder.counters["serving.ann.fallbacks.no_index"] == 1
 
+    def test_no_index_fallback_counts_once_per_distinct_lookup(self):
+        """Duplicate IVF requests with no index ready book one miss and
+        one fallback, as they share one exact answer."""
+        rng = np.random.default_rng(5)
+        store = make_store(rng.standard_normal((100, 4)))
+        manager = IvfIndexManager(store, IvfConfig(min_index_nodes=512))
+        index = RecommendationIndex(store, cache_size=0, ann=manager)
+        recorder = Recorder()
+        with use_recorder(recorder):
+            index.top_k_batch([(7, 5, "ivf")] * 3)
+        manager.close()
+        counters = recorder.counters
+        assert counters["serving.index.cache_misses"] == 1
+        assert counters["serving.ann.fallbacks"] == 1
+        assert counters["serving.ann.fallbacks.no_index"] == 1
+
 
 # ---------------------------------------------------------------------------
 # Version pinning and the racing-publish regression

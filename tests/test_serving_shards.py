@@ -9,7 +9,8 @@ truth that matters — the single-process serving stack:
   a :class:`~repro.serving.index.RecommendationIndex` over the
   unsharded matrix, for every plan strategy and shard count tested
   (including duplicate-row tie pileups and per-shard IVF at full
-  probe);
+  probe), and ``score_link`` the same bits as the in-process frontend
+  and a one-row einsum;
 - **version atomicity**: with publishes racing a reader, every gather
   matches exactly one published matrix's oracle — a response mixing two
   versions across shards is impossible by construction;
@@ -35,6 +36,7 @@ from repro.serving import (
     ShardedFrontend,
     ShardedPublisher,
     ShardedServingConfig,
+    ServingFrontend,
     run_load,
 )
 
@@ -214,6 +216,44 @@ class TestOracleBitIdenticality:
                     "bd,bd->b", matrix[src][None, :],
                     matrix[dst][None, :])[0])
                 assert frontend.score_link(src, dst) == expected
+
+    def test_score_link_bytes_match_in_process_and_einsum(self):
+        """The in-process frontend, the router and a test-side one-row
+        einsum give the same score bits, serially and from three
+        concurrent client threads."""
+        rng = np.random.default_rng(14)
+        matrix = rng.standard_normal((200, 16))
+        store = make_store(matrix)
+        clients = 3
+        pairs = rng.integers(0, len(matrix), size=(clients, 50, 2))
+        answers: dict[int, list] = {}
+        start = threading.Barrier(clients)
+
+        def client(c: int) -> None:
+            start.wait(timeout=30.0)
+            answers[c] = [(inproc.score_link(src, dst),
+                           router.score_link(src, dst))
+                          for src, dst in pairs[c]]
+
+        with ServingFrontend(store) as inproc, \
+                sharded(ShardPlan(2, "hash"), store) as router:
+            serial = [(inproc.score_link(src, dst),
+                       router.score_link(src, dst))
+                      for src, dst in pairs.reshape(-1, 2)]
+            threads = [threading.Thread(target=client, args=(c,))
+                       for c in range(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+        concurrent = [a for c in range(clients) for a in answers[c]]
+        for answered in (serial, concurrent):
+            for (src, dst), scores in zip(pairs.reshape(-1, 2), answered):
+                want = np.einsum("bd,bd->b", matrix[src][None],
+                                 matrix[dst][None])[0].tobytes()
+                for score in scores:
+                    assert np.float64(score).tobytes() == want
 
     def test_worker_lru_serves_identical_repeats(self):
         rng = np.random.default_rng(13)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.embedding import SgnsConfig
 from repro.embedding.skipgram import SkipGramModel
-from repro.errors import EmbeddingError
+from repro.errors import EmbeddingError, WalkError
 from repro.graph import DynamicTemporalGraph, generators
 from repro.tasks.incremental import IncrementalEmbedder
 from repro.walk import WalkConfig
@@ -61,6 +61,14 @@ class TestIncrementalEmbedder:
         _, embedder = self.make(initial)
         with pytest.raises(EmbeddingError):
             _ = embedder.embeddings
+
+    def test_unknown_sampler_rejected_at_construction(self, evolving):
+        """A bad sampler name fails when the embedder is built, not at
+        its first ``rebuild()``."""
+        dynamic = DynamicTemporalGraph(evolving[0])
+        for sampler in ("magic", "batched"):
+            with pytest.raises(WalkError, match="unknown sampler"):
+                IncrementalEmbedder(dynamic, sampler=sampler)
 
     def test_rebuild_reports_full(self, evolving):
         initial, _ = evolving
