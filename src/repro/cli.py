@@ -43,6 +43,7 @@ artifact exposes (walks, walk length, dimension, epochs...).  Run
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import sys
 import threading
@@ -107,12 +108,19 @@ def _add_pipeline_arguments(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--batch-sentences", type=int, default=1024,
                        help="word2vec batch size in sentences "
                             "(1 = sentence-at-a-time)")
-    group.add_argument("--epochs", type=int, default=30,
-                       help="classifier training epochs")
-    group.add_argument("--lr", type=float, default=0.05,
-                       help="classifier learning rate")
+    lp = LinkPredictionConfig().training
+    nc = NodeClassificationConfig().training
+    group.add_argument("--epochs", type=int, default=None,
+                       help=f"classifier training epochs (default: the "
+                            f"task's own, {lp.epochs} for linkpred, "
+                            f"{nc.epochs} for nodeclass)")
+    group.add_argument("--lr", type=float, default=None,
+                       help=f"classifier learning rate (default: the "
+                            f"task's own, {lp.learning_rate} for linkpred, "
+                            f"{nc.learning_rate} for nodeclass)")
     group.add_argument("--target-accuracy", type=float, default=None,
-                       help="stop training at this validation accuracy")
+                       help="stop training at this validation accuracy "
+                            "(default: train every epoch)")
     group.add_argument("--directed", action="store_true",
                        help="walk the directed stream (default mirrors "
                             "each edge)")
@@ -150,12 +158,18 @@ def _observability(args: argparse.Namespace) -> Iterator[Recorder | None]:
             print(f"wrote trace: {trace_out}")
 
 
+def _training_from_args(args: argparse.Namespace,
+                        default: TrainSettings) -> TrainSettings:
+    """``default`` with only the classifier flags given on the command
+    line replaced, so each task keeps its own schedule otherwise."""
+    given = {name: value for name, value in (
+        ("epochs", args.epochs), ("learning_rate", args.lr),
+        ("target_accuracy", args.target_accuracy),
+    ) if value is not None}
+    return dataclasses.replace(default, **given)
+
+
 def _pipeline_from_args(args: argparse.Namespace) -> Pipeline:
-    training = TrainSettings(
-        epochs=args.epochs,
-        learning_rate=args.lr,
-        target_accuracy=args.target_accuracy,
-    )
     config = PipelineConfig(
         walk=WalkConfig(
             num_walks_per_node=args.walks,
@@ -166,8 +180,11 @@ def _pipeline_from_args(args: argparse.Namespace) -> Pipeline:
         batch_sentences=args.batch_sentences,
         sampler=args.sampler,
         treat_undirected=not args.directed,
-        link_prediction=LinkPredictionConfig(training=training),
-        node_classification=NodeClassificationConfig(training=training),
+        link_prediction=LinkPredictionConfig(training=_training_from_args(
+            args, LinkPredictionConfig().training)),
+        node_classification=NodeClassificationConfig(
+            training=_training_from_args(
+                args, NodeClassificationConfig().training)),
         checkpoint_dir=args.checkpoint_dir,
         resume=args.resume,
     )

@@ -23,9 +23,10 @@ import heapq
 import numpy as np
 
 from repro.errors import EmbeddingError
+from repro.nn.layers import sigmoid
 from repro.rng import SeedLike, make_rng
 from repro.embedding.negative import NegativeSampler
-from repro.embedding.skipgram import SkipGramModel, sigmoid
+from repro.embedding.skipgram import SkipGramModel
 from repro.embedding.trainer import SgnsConfig
 
 

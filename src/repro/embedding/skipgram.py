@@ -19,19 +19,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import EmbeddingError
+from repro.nn.layers import sigmoid
 from repro.rng import SeedLike, make_rng
 from repro.embedding.negative import NegativeSampler
 from repro.embedding.trainer import UPDATE_MODES, SgnsConfig
-
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def sentence_pairs(

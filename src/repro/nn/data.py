@@ -3,7 +3,8 @@
 The PyTorch stand-in the classifier stage needs: shuffled fixed-size
 batches over (features, targets) arrays.  The paper notes PyTorch's
 multi-process data loaders hurt this workload's memory footprint
-(§VIII-A); here batching is a zero-copy index view.
+(§VIII-A); here each epoch gathers its permuted arrays once and every
+batch is a zero-copy slice of them.
 """
 
 from __future__ import annotations
@@ -53,7 +54,8 @@ class DataLoader:
         order = np.arange(n)
         if self.shuffle:
             self._rng.shuffle(order)
+        features, targets = self.features[order], self.targets[order]
         end = (n // self.batch_size) * self.batch_size if self.drop_last else n
         for base in range(0, end, self.batch_size):
-            idx = order[base: base + self.batch_size]
-            yield self.features[idx], self.targets[idx]
+            stop = base + self.batch_size
+            yield features[base:stop], targets[base:stop]

@@ -1,4 +1,4 @@
-"""Layers: affine, activations, residual block.
+"""Layers: affine, activations, residual block, and the stable sigmoid.
 
 :class:`Linear` also counts the GEMM work it performs (flops and operand
 sizes) — that feed the Fig. 9 instruction mix and the §VII-B GEMM
@@ -20,6 +20,26 @@ def xavier_uniform(
     """Glorot/Xavier uniform initialization for an affine weight."""
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+
+
+def stable_sigmoid(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(sigmoid(z), exp(-|z|))`` without overflow on either side.
+
+    ``exp(-|z|)`` is written ``exp(minimum(z, -z))``: it stays in
+    ``(0, 1]`` so neither branch overflows, and unlike ``-abs(z)`` it
+    keeps a NaN input's sign bit.  The second value lets
+    :class:`~repro.nn.losses.BCEWithLogitsLoss` reuse it for its
+    ``log1p`` term.
+    """
+    z = np.asarray(z)
+    ez = np.exp(np.minimum(z, -z))
+    sig = np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+    return sig.astype(np.float64, copy=False), ez
+
+
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Numerically stable logistic function, as float64."""
+    return stable_sigmoid(z)[0]
 
 
 class Linear(Module):
@@ -101,13 +121,8 @@ class Sigmoid(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Forward pass; caches what backward needs."""
-        out = np.empty_like(x, dtype=np.float64)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        self._out = out
-        return out
+        self._out = sigmoid(x)
+        return self._out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         """Backward pass; returns the input gradient."""

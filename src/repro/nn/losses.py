@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import TrainingError
+from repro.nn.layers import stable_sigmoid
 
 
 class BCEWithLogitsLoss:
@@ -36,12 +37,8 @@ class BCEWithLogitsLoss:
             raise TrainingError(
                 f"logits ({len(z)}) and targets ({len(y)}) length mismatch"
             )
-        loss = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
-        sig = np.empty_like(z)
-        pos = z >= 0
-        sig[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        sig[~pos] = ez / (1.0 + ez)
+        sig, ez = stable_sigmoid(z)
+        loss = np.maximum(z, 0.0) - z * y + np.log1p(ez)
         self._probs = sig
         self._targets = y
         return float(loss.mean())

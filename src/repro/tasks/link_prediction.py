@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.embedding.embeddings import NodeEmbeddings
 from repro.graph.edges import TemporalEdgeList
-from repro.nn.layers import Linear, ReLU
+from repro.nn.layers import Linear, ReLU, sigmoid
 from repro.nn.losses import BCEWithLogitsLoss
 from repro.nn.metrics import binary_accuracy, roc_auc
 from repro.nn.module import Module, Sequential
@@ -28,13 +28,24 @@ from repro.tasks.training import TrainHistory, TrainSettings, train_classifier
 
 @dataclass(frozen=True)
 class LinkPredictionConfig:
-    """Architecture and training knobs for the link-prediction FNN."""
+    """Architecture and training knobs for the link-prediction FNN.
+
+    ``training`` defaults to 12 epochs x 256 rows at lr 0.2, not the
+    :class:`TrainSettings` class default (30 x 128 at lr 0.1): it is the
+    cell ``bench_fig08_accuracy_complexity.py::
+    test_fig08e_classifier_frontier`` records as ``chosen`` in
+    ``bench_results/fig08e_classifier_frontier.json`` — the cheapest
+    schedule whose mean AUC holds within 0.005 of 30 x 128 on every
+    LP dataset shape (1,296 SGD steps instead of 6,480 per run on
+    ``ia_email_like(0.02)``).
+    """
 
     hidden_dim: int = 32
     train_fraction: float = 0.6
     valid_fraction: float = 0.2
     test_fraction: float = 0.2
-    training: TrainSettings = field(default_factory=TrainSettings)
+    training: TrainSettings = field(default_factory=lambda: TrainSettings(
+        epochs=12, batch_size=256, learning_rate=0.2))
 
 
 @dataclass
@@ -76,7 +87,7 @@ class TaskResult:
         features = self.scaler.transform(
             embeddings.edge_features(np.asarray(src), np.asarray(dst))
         )
-        return _sigmoid(self.model.forward(features).reshape(-1))
+        return sigmoid(self.model.forward(features).reshape(-1))
 
     def summary(self) -> str:
         """One-line human-readable result summary."""
@@ -98,15 +109,6 @@ def build_link_prediction_model(
         ReLU(),
         Linear(hidden_dim, 1, seed=rng),
     )
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 class LinkPredictionTask:
@@ -164,7 +166,7 @@ class LinkPredictionTask:
         loss = BCEWithLogitsLoss()
 
         def evaluate_accuracy(m: Module, x: np.ndarray, y: np.ndarray) -> float:
-            probs = _sigmoid(m.forward(x).reshape(-1))
+            probs = sigmoid(m.forward(x).reshape(-1))
             return binary_accuracy(probs, y)
 
         with rec.span("train", task="link-prediction"):
@@ -175,7 +177,7 @@ class LinkPredictionTask:
 
         with rec.span("test", task="link-prediction") as test_span:
             test_x, test_y = partitions["test"]
-            probs = _sigmoid(model.forward(test_x).reshape(-1))
+            probs = sigmoid(model.forward(test_x).reshape(-1))
             accuracy = binary_accuracy(probs, test_y)
             auc = roc_auc(probs, test_y)
         test_seconds = test_span.duration

@@ -108,6 +108,74 @@ class TestNodeclass:
         assert "node-classification" in capsys.readouterr().out
 
 
+# The classifier flags and their defaults on the two task commands.
+# ``None`` means "the task's own default": see TestClassifierDefaults.
+CLASSIFIER_SURFACE = {"--epochs": None, "--lr": None,
+                      "--target-accuracy": None}
+
+
+def _command_surface(command):
+    import argparse
+
+    from repro.cli import build_parser
+
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    return {action.option_strings[-1]: action.default
+            for action in subparsers.choices[command]._actions
+            if not isinstance(action, argparse._HelpAction)}
+
+
+class TestClassifierDefaults:
+    """Without classifier flags each task trains on its own default."""
+
+    @pytest.mark.parametrize("command", ["linkpred", "nodeclass"])
+    def test_classifier_flags_default_to_the_task(self, command):
+        surface = _command_surface(command)
+        assert {flag: surface[flag] for flag in CLASSIFIER_SURFACE} \
+            == CLASSIFIER_SURFACE
+
+    def test_one_flag_overrides_one_field_of_each_task(self):
+        import dataclasses
+
+        from repro.cli import _pipeline_from_args, build_parser
+        from repro.tasks.link_prediction import LinkPredictionConfig
+        from repro.tasks.node_classification import NodeClassificationConfig
+
+        args = build_parser().parse_args(
+            ["linkpred", "--dataset", "ia-email", "--lr", "0.3"])
+        config = _pipeline_from_args(args).config
+        lp, nc = LinkPredictionConfig().training, \
+            NodeClassificationConfig().training
+        assert config.link_prediction.training == dataclasses.replace(
+            lp, learning_rate=0.3)
+        assert config.node_classification.training == dataclasses.replace(
+            nc, learning_rate=0.3)
+        args = build_parser().parse_args(
+            ["linkpred", "--dataset", "ia-email"])
+        config = _pipeline_from_args(args).config
+        assert config.link_prediction.training == lp
+        assert config.node_classification.training == nc
+
+    def test_linkpred_without_flags_trains_the_default_epochs(self, tmp_path,
+                                                              capsys):
+        import json
+
+        from repro.tasks.link_prediction import LinkPredictionConfig
+
+        wel = tmp_path / "tiny.wel"
+        main(["generate", "--nodes", "200", "--edges", "2000",
+              "-o", str(wel)])
+        metrics = tmp_path / "metrics.json"
+        code = main(["linkpred", "--input", str(wel), "--walks", "4",
+                     "--length", "5", "--dim", "4", "--w2v-epochs", "1",
+                     "--metrics-out", str(metrics)])
+        assert code == 0
+        counters = json.loads(metrics.read_text())["counters"]
+        assert counters["train.epochs"] \
+            == LinkPredictionConfig().training.epochs
+
+
 class TestObservabilityFlags:
     def test_linkpred_writes_metrics_and_trace(self, tmp_path, capsys):
         from repro.observability import validate_pipeline_observability
@@ -383,16 +451,7 @@ class TestSimPresets:
 
     @pytest.mark.parametrize("command", SIM_COMMANDS)
     def test_option_surface_is_pinned(self, command):
-        import argparse
-
-        from repro.cli import build_parser
-
-        subparsers = next(action for action in build_parser()._actions
-                          if isinstance(action, argparse._SubParsersAction))
-        surface = {action.option_strings[-1]: action.default
-                   for action in subparsers.choices[command]._actions
-                   if not isinstance(action, argparse._HelpAction)}
-        assert surface == SIM_SURFACE[command]
+        assert _command_surface(command) == SIM_SURFACE[command]
 
     def test_split_keeps_the_batch_boundaries(self):
         """Where the old per-command formula stayed inside the stream,

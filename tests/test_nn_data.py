@@ -45,6 +45,34 @@ class TestDataLoader:
         for xb, yb in loader:
             assert np.array_equal(xb.reshape(-1), yb)
 
+    @pytest.mark.parametrize("shuffle", [True, False])
+    @pytest.mark.parametrize("drop_last", [True, False])
+    @pytest.mark.parametrize("n, batch_size", [(20, 4), (23, 5), (7, 7),
+                                               (5, 16)])
+    def test_batches_byte_equal_to_per_batch_gather(self, shuffle, drop_last,
+                                                    n, batch_size):
+        """One gather per epoch yields the batches a per-batch fancy
+        index over the same permutation would."""
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((n, 3))
+        y = rng.integers(0, 2, n).astype(np.float64)
+        loader = DataLoader(x, y, batch_size=batch_size, shuffle=shuffle,
+                            seed=9, drop_last=drop_last)
+        order_rng = np.random.default_rng(9)
+        for _ in range(2):
+            order = np.arange(n)
+            if shuffle:
+                order_rng.shuffle(order)
+            end = (n // batch_size) * batch_size if drop_last else n
+            expected = [order[b: b + batch_size]
+                        for b in range(0, end, batch_size)]
+            batches = list(loader)
+            assert len(batches) == len(expected) == len(loader)
+            for (xb, yb), idx in zip(batches, expected):
+                assert xb.tobytes() == x[idx].tobytes()
+                assert yb.tobytes() == y[idx].tobytes()
+                assert xb.shape == x[idx].shape
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(TrainingError):
             DataLoader(np.zeros((3, 1)), np.zeros(2))

@@ -2,9 +2,34 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.errors import TrainingError
-from repro.nn import Linear, ReLU, Residual, Sigmoid, Tanh
+from repro.nn import BCEWithLogitsLoss, Linear, ReLU, Residual, Sigmoid, Tanh
+from repro.nn.layers import sigmoid
+
+
+def masked_sigmoid(x):
+    """The two-branch masked form the shared ``sigmoid`` replaced; kept
+    here as the byte-level oracle."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+           2.2250738585072014e-308, -2.2250738585072014e-308, 745.2, -745.2,
+           800.0, -800.0, 36.8, -36.8]
+LOGITS = st.one_of(st.floats(-800.0, 800.0), st.floats(),
+                   st.sampled_from(SPECIAL))
+LOGITS32 = st.one_of(st.floats(-800.0, 800.0, width=32), st.floats(width=32),
+                     st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan,
+                                      -np.nan, 1e-45, -1e-45, 103.9, -103.9]))
 
 
 class TestLinear:
@@ -72,6 +97,39 @@ class TestActivations:
     def test_backward_before_forward_rejected(self, cls):
         with pytest.raises(TrainingError):
             cls().backward(np.ones((1, 1)))
+
+
+class TestSharedSigmoid:
+    @pytest.mark.parametrize("dtype, elements", [(np.float64, LOGITS),
+                                                 (np.float32, LOGITS32)])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_byte_equal_to_masked_form(self, dtype, elements, data):
+        z = data.draw(hnp.arrays(
+            dtype, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0,
+                                    max_side=40), elements=elements))
+        expected = masked_sigmoid(z)
+        out = sigmoid(z)
+        assert out.dtype == expected.dtype and out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+
+    def test_special_values_byte_equal(self):
+        z = np.array(SPECIAL)
+        assert sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
+        assert np.signbit(sigmoid(np.array([-np.nan])))[0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(1, 64),
+                      elements=st.floats(-800.0, 800.0)),
+           st.data())
+    def test_bce_forward_byte_equal_to_separate_forms(self, z, data):
+        y = data.draw(hnp.arrays(np.float64, len(z),
+                                 elements=st.sampled_from([0.0, 1.0])))
+        loss = BCEWithLogitsLoss()
+        value = loss.forward(z, y)
+        expected = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
+        assert value == float(expected.mean())
+        assert loss.predictions().tobytes() == masked_sigmoid(z).tobytes()
 
 
 class TestResidual:

@@ -34,6 +34,37 @@ class TestTrainSettings:
             TrainSettings(batch_size=0)
 
 
+class TestDefaultSchedules:
+    """Each task's default schedule, and the evidence behind LP's."""
+
+    def test_lp_default_is_the_frontier_sweeps_chosen_cell(self):
+        import json
+
+        from repro.bench.runner import DEFAULT_RESULTS_DIR
+        from repro.tasks.link_prediction import LinkPredictionConfig
+
+        record = json.loads(
+            (DEFAULT_RESULTS_DIR / "fig08e_classifier_frontier.json")
+            .read_text())
+        chosen = record["chosen"]
+        assert LinkPredictionConfig().training == TrainSettings(
+            epochs=chosen["epochs"], batch_size=chosen["batch_size"],
+            learning_rate=chosen["learning_rate"])
+        assert all(drop >= -0.005
+                   for drop in chosen["auc_change_vs_baseline"].values())
+
+    def test_class_nc_and_link_property_defaults_unchanged(self):
+        from repro.tasks.link_property import LinkPropertyConfig
+        from repro.tasks.node_classification import NodeClassificationConfig
+
+        for settings in (TrainSettings(),
+                         NodeClassificationConfig().training,
+                         LinkPropertyConfig().training):
+            assert (settings.epochs, settings.batch_size,
+                    settings.learning_rate) == (30, 128, 0.1)
+            assert settings == TrainSettings()
+
+
 class TestTrainClassifier:
     def test_learns_separable_data(self):
         train, valid = separable_data()
