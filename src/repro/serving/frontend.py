@@ -6,12 +6,10 @@ each request runs on its caller's thread.  A link score is
 :func:`~repro.serving.store.link_score` on the served matrix, the same
 function the sharded router answers with.  A top-k cache hit answers
 from the :class:`~repro.serving.index.RecommendationIndex`'s
-generation-keyed LRU, and a miss joins the index's shared pass over
-one snapshot at the next block and leaves it after one full cycle.
-Concurrent misses read each block from memory once, and one client
-thread at a time drives the pass, so the read path's scans take one
-core however many clients wait on them.  Every answer is bit-identical to
-:meth:`RecommendationIndex.top_k
+generation-keyed LRU, and a miss scans one snapshot's blocks on its
+caller's thread, so concurrent misses scan on as many cores as there
+are clients and none waits on another.  Every answer is bit-identical
+to :meth:`RecommendationIndex.top_k
 <repro.serving.index.RecommendationIndex.top_k>` whatever else is in
 flight.
 
@@ -162,8 +160,8 @@ class ServingFrontend:
         """Top-``k`` recommended nodes for ``node``, best first.
 
         A warm cache hit answers at once with zero GEMM work; a miss
-        rides the index's shared pass against the snapshot served when
-        it joins.  ``mode`` overrides the configured index for
+        scans the snapshot served when it starts, on this thread.
+        ``mode`` overrides the configured index for
         this one request: ``"exact"`` forces the brute-force oracle
         (full recall), ``"ivf"`` requests the approximate index (falls
         back to exact automatically when no index matches the served

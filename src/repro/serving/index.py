@@ -22,10 +22,10 @@ selected (:func:`_survivors` derives the bound).
 Every row the float64 full scan would select, and every row tied with
 its last pick, survives the screen, so ids, ties and score bytes are
 exactly the float64 full scan's.  On a Gaussian 10^5 x 64 catalog
-about 10 rows per block survive for ``k = 10``.  Concurrent full scans
-share one pass over the blocks (see :meth:`RecommendationIndex._ride`):
-each block is read from memory once for all of them, and none waits
-for the others to arrive.
+about 10 rows per block survive for ``k = 10``.  Every miss scans the
+blocks itself, on its caller's thread, with one BLAS call per block, so
+concurrent misses screen on as many cores as there are callers and
+none waits on another.
 
 Two execution modes share the scoring/selection code:
 
@@ -86,12 +86,6 @@ TopK = tuple[np.ndarray, np.ndarray]
 TopKRequest = "tuple[int, int] | tuple[int, int, str | None]"
 
 _TINY = np.finfo(np.float64).tiny
-
-#: Bytes of shadow rows screened per call: small enough that a chunk
-#: read from memory for the first query of a shared pass is still in
-#: L2 for the others.
-_CHUNK_BYTES = 1 << 19
-
 
 #: Unit roundoffs of float32 and float64.
 _U32 = 2.0 ** -24
@@ -176,7 +170,7 @@ def _floor32(value: float) -> "np.float32 | None":
 
 
 def _survivors(metric: str, screen: np.ndarray, norms: np.ndarray,
-               rider: "_Rider", take: int, self_pos: int) -> np.ndarray:
+               query: "_Query", take: int, self_pos: int) -> np.ndarray:
     """Ascending offsets of the block rows that can reach its top ``take``.
 
     ``screen`` holds the float32 scores of the block's shadow rows
@@ -209,26 +203,26 @@ def _survivors(metric: str, screen: np.ndarray, norms: np.ndarray,
     could overflow, or a bound or threshold that is not finite.
     """
     n = len(screen)
-    terms = _screen_terms(len(rider.query))
-    shadow_exp = rider.snapshot.shadow_exp
-    exp = shadow_exp + rider.q_exp
+    terms = _screen_terms(len(query.vector))
+    shadow_exp = query.snapshot.shadow_exp
+    exp = shadow_exp + query.q_exp
     x_max = _ldexp(float(norms.max()) * terms.norm_rel + terms.norm_abs,
                    shadow_exp)
-    if _ldexp(x_max * rider.q_bound, -exp) >= 2.0 ** 1022:
+    if _ldexp(x_max * query.q_bound, -exp) >= 2.0 ** 1022:
         return np.arange(n)
     if metric == "dot":
         if self_pos >= 0:
             screen[self_pos] = -np.inf
         kth = float(np.partition(screen, n - take)[n - take])
-        floor = _floor32(kth - 2.0 * terms.bound(x_max, rider.q_bound, exp))
+        floor = _floor32(kth - 2.0 * terms.bound(x_max, query.q_bound, exp))
         if floor is None:
             return np.arange(n)
         return np.flatnonzero(screen >= floor)
     with np.errstate(all="ignore"):
         x = np.ldexp(norms * terms.norm_rel + terms.norm_abs, shadow_exp)
-        spread = terms.bound(x, rider.q_bound, exp)
+        spread = terms.bound(x, query.q_bound, exp)
         # The float64 kernel's denominators, scaled like the screen.
-        denom = np.where(norms == 0.0, 1.0, norms) * rider.qnorm
+        denom = np.where(norms == 0.0, 1.0, norms) * query.qnorm
         np.maximum(denom, _TINY, out=denom)
         denom = np.ldexp(denom, exp)
         lo = (screen - spread) / denom
@@ -303,11 +297,6 @@ class RecommendationIndex:
         self._cache: OrderedDict[tuple[int, int, str], TopK] = OrderedDict()
         self._cache_version: int = -1
         self._ann_query_count = 0
-        # The shared pass: riders in flight, and whether a caller is
-        # driving it (see _ride).
-        self._pass = threading.Condition()
-        self._riders: list[_Rider] = []
-        self._driving = False
 
     # ------------------------------------------------------------------
     # Cache plumbing
@@ -402,11 +391,11 @@ class RecommendationIndex:
         """Serve many requests from one snapshot.
 
         Each request is ``(node, k)`` or ``(node, k, mode)``.  Cache
-        hits are answered in place; the distinct exact misses ride the
-        shared pass together, each scored by the single-query kernel,
-        while each distinct ANN miss scores only its probed candidate
-        rows; in either mode duplicates share the answer.  Each distinct
-        lookup that misses counts one ``serving.index.cache_misses``,
+        hits are answered in place; each distinct exact miss scans the
+        catalog in turn, and each distinct ANN miss scores only its
+        probed candidate rows; in either mode duplicates share the
+        answer.  Each distinct lookup that misses counts one
+        ``serving.index.cache_misses``,
         plus one ``serving.ann.fallbacks`` when it asks for IVF and no
         index is ready.  The whole batch answers from the one snapshot
         taken here — cache lookups and the ANN index are pinned to its
@@ -462,27 +451,14 @@ class RecommendationIndex:
             else:
                 results[i] = result
 
-        # Distinct exact misses ride the shared pass together.
-        riders: dict[tuple[int, int], _Rider | None] = {}
-        for _, node, k in exact_misses:
-            if (node, k) not in riders:
-                riders[(node, k)] = self._rider(
-                    snapshot, snapshot.matrix[node], snapshot.norms[node],
-                    node, k)
-        running = [r for r in riders.values() if r is not None]
-        if running:
-            self._ride(running)
-            rec.counter("serving.index.gemm_rows",
-                        snapshot.num_nodes * len(running))
-            rec.counter("serving.index.rescored_rows",
-                        sum(r.rescored for r in running))
-        computed: dict[tuple[int, int], TopK] = {}
-        for (node, k), rider in riders.items():
-            computed[(node, k)] = result = (
-                _empty() if rider is None else rider.result())
-            self._fill(snapshot, node, k, "exact", result)
+        # Distinct exact misses scan the catalog; duplicates share it.
+        exact_computed: dict[tuple[int, int], TopK] = {}
         for i, node, k in exact_misses:
-            results[i] = computed[(node, k)]
+            if (node, k) not in exact_computed:
+                exact_computed[(node, k)] = result = self._scan_node(
+                    snapshot, node, k)
+                self._fill(snapshot, node, k, "exact", result)
+            results[i] = exact_computed[(node, k)]
         return [results[i] for i in range(len(requests))]
 
     def top_k_vector(self, vector: np.ndarray, k: int,
@@ -607,244 +583,126 @@ class RecommendationIndex:
                 (above, tied[:take - len(above)])))
         return idx
 
-    def _rider(self, snapshot: EmbeddingSnapshot, query: np.ndarray,
-               query_norm: float, exclude: int, k: int) -> "_Rider | None":
-        """One exact query (None when it has nothing to return)."""
-        n = snapshot.num_nodes
-        # Self-exclusion consumes one candidate; a query with no local
-        # exclusion row (remote shard) can use all n.
-        k_eff = min(k, n - 1) if exclude >= 0 else min(k, n)
-        if k_eff <= 0:
-            return None
-        return _Rider(snapshot, query, query_norm, exclude, k_eff,
-                      -(-n // self.block_size))
-
     def _scan_node(self, snapshot: EmbeddingSnapshot, node: int, k: int,
                    row_ids: np.ndarray | None = None) -> TopK:
         """:meth:`_scan` for a catalog row, which never recommends itself."""
         return self._scan(snapshot, snapshot.matrix[node],
                           snapshot.norms[node], node, k, row_ids)
 
-    def _scan(self, snapshot: EmbeddingSnapshot, query: np.ndarray,
+    def _scan(self, snapshot: EmbeddingSnapshot, vector: np.ndarray,
               query_norm: float, exclude: int, k: int,
               row_ids: np.ndarray | None = None) -> TopK:
-        """Blocked exact top-k for one query vector.
+        """Blocked exact top-k for one query vector, on this thread.
 
         Returns read-only ``(ids, scores)`` sorted best-first (ties
         broken by lower id).  Peak memory is O(block_size) however
         large the matrix is.  ``exclude`` is the row id that may not be
         recommended (-1 = none: the query row lives on another shard).
 
-        A full scan rides the shared pass (:meth:`_ride`).  ``row_ids``
-        (sorted ascending) restricts scoring to a candidate subset — the
-        ANN path — scanned on this thread alone.  A block of consecutive
-        ids is detected and served from a contiguous slice, so
-        candidates covering the whole id range (``nprobe = nlist``) run
-        the *identical* block/score/selection sequence as the full scan
-        and return bit-identical results.
+        ``row_ids`` (sorted ascending) restricts scoring to a candidate
+        subset — the ANN path — through the same block loop as the full
+        scan.  A block of consecutive ids is served from a contiguous
+        slice, so candidates covering the whole id range
+        (``nprobe = nlist``) run the *identical* block/score/selection
+        sequence as the full scan and return bit-identical results.
         """
-        rider = self._rider(snapshot, query, query_norm, exclude, k)
-        if rider is None:
+        n = snapshot.num_nodes
+        # Self-exclusion consumes one candidate; a query with no local
+        # exclusion row (remote shard) can use all n.
+        k_eff = min(k, n - 1) if exclude >= 0 else min(k, n)
+        if k_eff <= 0:
             return _empty()
-        if row_ids is None:
-            total = snapshot.num_nodes
-            self._ride([rider])
-        else:
-            total = len(row_ids)
-            for start in range(0, total, self.block_size):
-                stop = min(total, start + self.block_size)
-                self._visit(*self._block(snapshot, start, stop, row_ids),
-                            [rider])
+        query = _Query(snapshot, vector, query_norm, exclude, k_eff)
+        total = n if row_ids is None else len(row_ids)
+        for start in range(0, total, self.block_size):
+            stop = min(total, start + self.block_size)
+            ids_block = (np.arange(start, stop) if row_ids is None
+                         else row_ids[start:stop])
+            self._visit(ids_block, _take(snapshot.shadow, ids_block),
+                        _take(snapshot.norms, ids_block), query)
         rec = get_recorder()
         rec.counter("serving.index.gemm_rows", total)
-        rec.counter("serving.index.rescored_rows", rider.rescored)
-        return rider.result()
-
-    @staticmethod
-    def _block(snapshot: EmbeddingSnapshot, start: int, stop: int,
-               row_ids: np.ndarray | None = None,
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(ids, shadow rows, norms)`` of block ``[start, stop)``."""
-        if row_ids is None:
-            ids_block = np.arange(start, stop)
-        else:
-            ids_block = row_ids[start:stop]
-        return (ids_block, _take(snapshot.shadow, ids_block),
-                _take(snapshot.norms, ids_block))
+        rec.counter("serving.index.rescored_rows", query.rescored)
+        return query.result()
 
     def _visit(self, ids_block: np.ndarray, rows: np.ndarray,
-               row_norms: np.ndarray, riders: "list[_Rider]") -> None:
-        """Screen one block for every rider and keep each one's block top.
+               row_norms: np.ndarray, query: "_Query") -> None:
+        """Screen one block for ``query`` and keep its block top.
 
-        ``rows`` are the block's float32 shadow rows.  Each rider scores
-        them with its float32 query, keeps the rows whose score could
-        reach the block's ``k``-th best (:func:`_survivors`), and
-        re-scores only those with the float64 kernel before selecting,
-        so its block top is exactly the float64 full scan's.  The block
-        is scored in L2-sized chunks, one chunk for every rider before
-        the next, so with several riders the rows are read from memory
-        once for all of them.
+        ``rows`` are the block's float32 shadow rows, scored with the
+        float32 query in one BLAS call.  The rows whose score could
+        reach the block's ``k``-th best (:func:`_survivors`) are
+        re-scored with the float64 kernel before selecting, so the
+        block top is exactly the float64 full scan's.
         """
-        # The same chunks whoever rides, so a rider's screen scores
-        # never depend on which other queries share the pass.
-        chunk = max(1, _CHUNK_BYTES // max(1, rows[:1].nbytes))
-        outs = [np.empty(len(rows), dtype=np.float32) for _ in riders]
-        for lo in range(0, len(rows), chunk):
-            part = rows[lo:lo + chunk]
-            for rider, out in zip(riders, outs):
-                # BLAS sgemv over the column-major shadow: it streams
-                # memory and releases the GIL, where the per-row einsum
-                # is bound by arithmetic and holds the GIL.  Its
-                # summation order is BLAS's own, which the screen's
-                # bound allows; the float64 scores below keep einsum.
-                np.matmul(part, rider.query32, out=out[lo:lo + chunk])
-        snapshot = riders[0].snapshot
-        for rider, screen in zip(riders, outs):
-            take = min(rider.k, len(rows))
-            pos = int(np.searchsorted(ids_block, rider.exclude))
-            self_pos = (pos if pos < len(ids_block)
-                        and ids_block[pos] == rider.exclude else -1)
-            if take == len(rows):
-                keep = np.arange(len(rows))
-            else:
-                keep = _survivors(self.metric, screen, row_norms, rider,
-                                  take, self_pos)
-            rider.rescored += len(keep)
-            ids = ids_block[keep]
-            # Per-row deterministic kernel: einsum's reduction order
-            # depends only on d, never on how many rows it is given,
-            # where BLAS GEMV picks shape-dependent accumulation orders.
-            # Scores are therefore a pure function of (row bits, query
-            # bits) — whichever rows survive the screen, however the
-            # scan is chunked, and however the rows are split across
-            # shards.
-            scores = np.einsum("nd,d->n", _take(snapshot.matrix, ids),
-                               rider.query)
-            if self.metric == "cosine":
-                norms = row_norms[keep]
-                denom = np.where(norms == 0.0, 1.0, norms) * rider.qnorm
-                # Two tiny-but-nonzero norms can *underflow* to a zero
-                # product even though both factors passed the zero
-                # guard; dividing by it put NaN into the ordering.
-                np.maximum(denom, _TINY, out=denom)
-                scores /= denom
-            # Self-exclusion: a query row inside this block never
-            # recommends itself.
-            if self_pos >= 0:
-                at = int(np.searchsorted(keep, self_pos))
-                if at < len(keep) and keep[at] == self_pos:
-                    scores[at] = -np.inf
-            part = self._select_top(scores, take)
-            rider.ids.append(ids[part])
-            rider.scores.append(scores[part])
-
-    # ------------------------------------------------------------------
-    # Shared pass
-    # ------------------------------------------------------------------
-    def _ride(self, riders: "list[_Rider]") -> None:
-        """Run full-catalog scans through the shared pass; block until done.
-
-        Concurrent exact misses share one cyclic pass over the blocks:
-        a rider joins at the block the pass visits next and leaves after
-        it has seen every block once, so nobody waits for a batch to
-        form, and each block is read from memory once per step for all
-        riders of its snapshot.  One caller at a time drives the pass on
-        its own thread; when its own riders are done it hands the pass
-        to a waiting caller.  Candidates are merged with a total order
-        (score, then id), so the block a rider starts at cannot change
-        its answer.
-        """
-        drive = False
-        with self._pass:
-            for rider in riders:
-                peer = next((r for r in self._riders
-                             if r.snapshot is rider.snapshot), None)
-                rider.block = 0 if peer is None else peer.block
-                self._riders.append(rider)
-            while not all(r.done for r in riders):
-                if not self._driving:
-                    self._driving = drive = True
-                    break
-                self._pass.wait()
-        if drive:
-            try:
-                self._drive(riders)
-            finally:
-                with self._pass:
-                    self._driving = False
-                    self._pass.notify_all()
-        for rider in riders:
-            if rider.error is not None:
-                raise ServingError("top-k scan failed") from rider.error
-
-    def _drive(self, mine: "list[_Rider]") -> None:
-        """Step the shared pass until every rider in ``mine`` is done."""
-        while True:
-            with self._pass:
-                if all(r.done for r in mine):
-                    return
-                step = list(self._riders)
-                groups: dict[tuple[int, int], list[_Rider]] = {}
-                for rider in step:
-                    groups.setdefault((id(rider.snapshot), rider.block),
-                                      []).append(rider)
-                    # Advanced before the visit, so a rider joining
-                    # meanwhile starts at the block its peers visit next.
-                    rider.block = (rider.block + 1) % rider.blocks
-            try:
-                for (_, block), group in groups.items():
-                    snapshot = group[0].snapshot
-                    start = block * self.block_size
-                    stop = min(snapshot.num_nodes, start + self.block_size)
-                    self._visit(*self._block(snapshot, start, stop), group)
-            except BaseException as exc:
-                with self._pass:
-                    for rider in step:
-                        rider.error, rider.done = exc, True
-                        self._riders.remove(rider)
-                    self._pass.notify_all()
-                raise
-            with self._pass:
-                finished = False
-                for rider in step:
-                    rider.left -= 1
-                    if rider.left == 0:
-                        rider.done = finished = True
-                        self._riders.remove(rider)
-                if finished:
-                    self._pass.notify_all()
+        # BLAS sgemv over the column-major shadow: it streams memory and
+        # releases the GIL, where the per-row einsum is bound by
+        # arithmetic and holds the GIL.  Its summation order is BLAS's
+        # own, which the screen's bound allows; the float64 scores
+        # below keep einsum.
+        screen = np.matmul(rows, query.query32)
+        snapshot = query.snapshot
+        take = min(query.k, len(rows))
+        pos = int(np.searchsorted(ids_block, query.exclude))
+        self_pos = (pos if pos < len(ids_block)
+                    and ids_block[pos] == query.exclude else -1)
+        if take == len(rows):
+            keep = np.arange(len(rows))
+        else:
+            keep = _survivors(self.metric, screen, row_norms, query, take,
+                              self_pos)
+        query.rescored += len(keep)
+        ids = ids_block[keep]
+        # Per-row deterministic kernel: einsum's reduction order depends
+        # only on d, never on how many rows it is given, where BLAS GEMV
+        # picks shape-dependent accumulation orders.  Scores are
+        # therefore a pure function of (row bits, query bits) —
+        # whichever rows survive the screen, however the catalog is
+        # blocked, and however the rows are split across shards.
+        scores = np.einsum("nd,d->n", _take(snapshot.matrix, ids),
+                           query.vector)
+        if self.metric == "cosine":
+            norms = row_norms[keep]
+            denom = np.where(norms == 0.0, 1.0, norms) * query.qnorm
+            # Two tiny-but-nonzero norms can *underflow* to a zero
+            # product even though both factors passed the zero guard;
+            # dividing by it put NaN into the ordering.
+            np.maximum(denom, _TINY, out=denom)
+            scores /= denom
+        # Self-exclusion: a query row inside this block never recommends
+        # itself.
+        if self_pos >= 0:
+            at = int(np.searchsorted(keep, self_pos))
+            if at < len(keep) and keep[at] == self_pos:
+                scores[at] = -np.inf
+        part = self._select_top(scores, take)
+        query.ids.append(ids[part])
+        query.scores.append(scores[part])
 
 
-class _Rider:
-    """One exact query's progress through a blocked scan."""
+class _Query:
+    """One exact query's state through a blocked scan."""
 
-    __slots__ = ("snapshot", "query", "qnorm", "query32", "q_exp",
-                 "q_bound", "exclude", "k", "blocks", "block", "left",
-                 "ids", "scores", "rescored", "done", "error")
+    __slots__ = ("snapshot", "vector", "qnorm", "query32", "q_exp",
+                 "q_bound", "exclude", "k", "ids", "scores", "rescored")
 
-    def __init__(self, snapshot: EmbeddingSnapshot, query: np.ndarray,
-                 query_norm: float, exclude: int, k: int,
-                 blocks: int) -> None:
+    def __init__(self, snapshot: EmbeddingSnapshot, vector: np.ndarray,
+                 query_norm: float, exclude: int, k: int) -> None:
         self.snapshot = snapshot
-        self.query = query
+        self.vector = vector
         self.qnorm = 1.0 if query_norm == 0.0 else query_norm
         # The screen's query: float32, scaled like the shadow, with an
         # upper bound on its norm in the same units (see _survivors).
         self.q_exp = scale_exponent(query_norm)
-        self.query32 = np.ldexp(query, self.q_exp).astype(np.float32)
-        terms = _screen_terms(len(query))
+        self.query32 = np.ldexp(vector, self.q_exp).astype(np.float32)
+        terms = _screen_terms(len(vector))
         self.q_bound = _ldexp(query_norm * terms.norm_rel + terms.norm_abs,
                               self.q_exp)
         self.exclude = exclude
         self.k = k
-        self.blocks = blocks  # blocks in a full pass (shared pass only)
-        self.block = 0        # the next block this rider visits
-        self.left = blocks
         self.ids: list[np.ndarray] = []
         self.scores: list[np.ndarray] = []
         self.rescored = 0     # float64 rows re-scored after the screen
-        self.done = False
-        self.error: BaseException | None = None
 
     def result(self) -> TopK:
         """The best ``k`` candidates, best first, ties by lower id."""

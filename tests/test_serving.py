@@ -7,8 +7,8 @@ Pins down the four contracts the serving design note promises:
   stays internally consistent while newer ones land;
 - freshness: once a post-``append()`` publish lands, no stale cached
   top-k is ever served again (the LRU is keyed by snapshot version);
-- top-k answers, from concurrent client threads sharing one pass over
-  the blocks, are bit-identical to the single-query oracle;
+- top-k answers from concurrent client threads, each scanning on its
+  own thread, are bit-identical to the single-query oracle;
 - recorder instrumentation: the documented ``serving.*`` counters and
   histograms actually appear under load.
 """
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -372,45 +371,42 @@ class TestRecommendationIndex:
             RecommendationIndex(EmbeddingStore(), metric="euclid")
 
 
-class TestSharedPass:
-    """Concurrent exact misses ride one cyclic pass over the blocks.
+class TestConcurrentScans:
+    """Every exact miss scans the blocks itself, on its caller's thread.
 
-    Each test holds the driving caller inside a block visit, lets a
-    second caller join, then releases the driver, so the join point is
-    fixed rather than left to thread timing.
+    Each test parks one caller inside a block visit and runs a second
+    caller beside it, so the overlap is fixed rather than left to
+    thread timing.
     """
 
     @staticmethod
     def _hold_second_visit(index: RecommendationIndex,
                            fail: bool = False):
-        """Record ``(first id, riders)`` per visit and park the driver
-        in its second visit until the returned event is set; with
-        ``fail``, the third visit (the first one shared) raises."""
+        """Record ``(thread, first id)`` per visit and park the first
+        caller to visit in its second visit until the returned event is
+        set; with ``fail``, that caller's third visit raises."""
         visits: list[tuple[int, int]] = []
         held, release = threading.Event(), threading.Event()
         real = index._visit
 
-        def visit(ids_block, rows, norms, riders):
-            visits.append((int(ids_block[0]), len(riders)))
-            if len(visits) == 2:
+        def visit(ids_block, rows, norms, query):
+            me = threading.get_ident()
+            visits.append((me, int(ids_block[0])))
+            owner = visits[0][0]
+            mine = sum(t == owner for t, _ in visits) if me == owner else 0
+            if mine == 2:
                 held.set()
                 assert release.wait(timeout=30.0)
-            if fail and len(visits) == 3:
+            if fail and mine == 3:
                 raise RuntimeError("visit failed")
-            real(ids_block, rows, norms, riders)
+            real(ids_block, rows, norms, query)
 
         index._visit = visit
         return visits, held, release
 
-    @staticmethod
-    def _riders(index: RecommendationIndex) -> int:
-        with index._pass:
-            return len(index._riders)
-
-    def _join_mid_pass(self, index, first, second, fail=False):
-        """Run query ``first`` as the driver and ``second`` as a rider
-        joining during the driver's second step; returns
-        ``(visits, {name: answer or exception})``."""
+    def _beside_parked(self, index, first, second, fail=False):
+        """Run ``second`` while ``first`` is parked in its second visit;
+        returns ``(visits, second finished meanwhile, answers)``."""
         visits, held, release = self._hold_second_visit(index, fail)
         out: dict[str, object] = {}
 
@@ -420,49 +416,49 @@ class TestSharedPass:
             except Exception as exc:  # noqa: BLE001 - asserted below
                 out[name] = exc
 
-        driver = threading.Thread(target=run, args=("first", first))
-        driver.start()
-        assert held.wait(timeout=30.0)
-        rider = threading.Thread(target=run, args=("second", second))
-        rider.start()
-        deadline = time.monotonic() + 30.0
-        while self._riders(index) < 2 and time.monotonic() < deadline:
-            time.sleep(0.001)
-        release.set()
-        for thread in (driver, rider):
+        parked = threading.Thread(target=run, args=("first", first))
+        parked.start()
+        try:
+            assert held.wait(timeout=30.0)
+            beside = threading.Thread(target=run, args=("second", second))
+            beside.start()
+            beside.join(timeout=10.0)
+            finished = not beside.is_alive()
+        finally:
+            release.set()
+        for thread in (parked, beside):
             thread.join(timeout=30.0)
             assert not thread.is_alive()
-        return visits, out
+        return visits, finished, out
 
     @pytest.mark.parametrize("metric", ["dot", "cosine"])
-    def test_rider_joining_mid_pass_shares_blocks(self, rng, metric):
+    def test_caller_does_not_wait_for_a_parked_scan(self, rng, metric):
         matrix = rng.standard_normal((300, 8))
-        # Both query rows tie with a row in every block, so the rider
-        # that starts mid-pass must still keep the lowest tied ids.
+        # Both query rows tie with a row in every block, so each scan
+        # must still keep the lowest tied ids.
         matrix[::3] = matrix[200] = 10.0 * matrix[0]
         store = make_store(matrix)
         index = RecommendationIndex(store, cache_size=0, block_size=50,
                                     metric=metric)
-        snapshot = store.snapshot()
-        want = {name: index._scan_node(snapshot, node, 5)
+        want = {name: index._scan_node(store.snapshot(), node, 5)
                 for name, node in (("first", 3), ("second", 200))}
         assert want["second"][0].tolist() == [0, 3, 6, 9, 12]
-        visits, out = self._join_mid_pass(
+        visits, finished, out = self._beside_parked(
             index, lambda: index.top_k(3, 5), lambda: index.top_k(200, 5))
-        # The rider joins at the block the pass visits next (100), shares
-        # the driver's remaining four blocks, then drives blocks 0 and 50
-        # itself once the first caller's query is done.
-        assert visits == [(0, 1), (50, 1), (100, 2), (150, 2), (200, 2),
-                          (250, 2), (0, 1), (50, 1)]
+        assert finished, "second caller waited on the parked scan"
+        # Each caller visited all six blocks in order on its own thread.
+        by_thread: dict[int, list[int]] = {}
+        for thread, start in visits:
+            by_thread.setdefault(thread, []).append(start)
+        assert list(by_thread.values()) == [list(range(0, 300, 50))] * 2
         for name, (ids, scores) in want.items():
             got_ids, got_scores = out[name]
             assert got_ids.tobytes() == ids.tobytes()
             assert got_scores.tobytes() == scores.tobytes()
-        assert self._riders(index) == 0 and not index._driving
 
-    def test_riders_of_two_snapshots_each_answer_from_their_own(self, rng):
-        """A publish mid-pass: the new snapshot's rider visits its own
-        rows, and neither answer mixes the two matrices."""
+    def test_publish_mid_scan_each_answers_from_its_own_snapshot(self, rng):
+        """A publish while a scan is parked: neither answer mixes the
+        two matrices."""
         old, new = rng.standard_normal((2, 200, 6))
         store = make_store(old)
         index = RecommendationIndex(store, cache_size=0, block_size=40)
@@ -473,17 +469,18 @@ class TestSharedPass:
             store.publish(new, generation=1)
             return index.top_k(9, 4)
 
-        _, out = self._join_mid_pass(index, lambda: index.top_k(9, 4),
-                                     after_publish)
+        _, finished, out = self._beside_parked(
+            index, lambda: index.top_k(9, 4), after_publish)
+        assert finished
         want_new = index._scan_node(store.snapshot(), 9, 4)
         for (ids, scores), (want_ids, want_scores) in (
                 (out["first"], want_old), (out["second"], want_new)):
             assert ids.tobytes() == want_ids.tobytes()
             assert scores.tobytes() == want_scores.tobytes()
 
-    def test_many_riders_under_fast_thread_switching(self, rng):
+    def test_many_callers_under_fast_thread_switching(self, rng):
         """More callers than cores, switching every 10 us: every answer
-        still has the oracle's bytes and the pass ends idle."""
+        still has the oracle's bytes."""
         matrix = rng.standard_normal((400, 6))
         store = make_store(matrix)
         index = RecommendationIndex(store, cache_size=0, block_size=32,
@@ -514,20 +511,21 @@ class TestSharedPass:
                     snapshot, int(node), 4)
                 assert ids.tobytes() == want_ids.tobytes()
                 assert scores.tobytes() == want_scores.tobytes()
-        assert self._riders(index) == 0 and not index._driving
 
-    def test_failed_step_fails_its_riders_and_the_pass_recovers(self, rng):
+    def test_failed_scan_fails_only_its_caller(self, rng):
+        """A scan's own exception reaches its caller unwrapped; a
+        concurrent caller and the next query are unaffected."""
         matrix = rng.standard_normal((120, 4))
         index = RecommendationIndex(make_store(matrix), cache_size=0,
                                     block_size=30)
-        real = index._visit
-        _, out = self._join_mid_pass(index, lambda: index.top_k(1, 3),
-                                     lambda: index.top_k(2, 3), fail=True)
-        assert isinstance(out["first"], RuntimeError)
-        assert isinstance(out["second"], ServingError)
-        assert isinstance(out["second"].__cause__, RuntimeError)
-        assert self._riders(index) == 0 and not index._driving
-        index._visit = real
+        _, finished, out = self._beside_parked(
+            index, lambda: index.top_k(1, 3), lambda: index.top_k(2, 3),
+            fail=True)
+        assert finished
+        assert type(out["first"]) is RuntimeError
+        for got, want in zip(out["second"], brute_force_topk(matrix, 2, 3)):
+            np.testing.assert_allclose(got, want)
+        del index._visit
         ids, _ = index.top_k(1, 3)
         np.testing.assert_array_equal(ids, brute_force_topk(matrix, 1, 3)[0])
 

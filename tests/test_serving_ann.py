@@ -536,7 +536,7 @@ class TestFrontendWiring:
 
     def test_duplicate_ivf_misses_query_once(self):
         """Duplicate IVF misses in one batch share one ANN query, the way
-        duplicate exact misses share one rider."""
+        duplicate exact misses share one scan."""
         rng = np.random.default_rng(6)
         store = make_store(clustered_matrix(rng, 400, 8))
         manager = make_manager(store, nlist=10, nprobe=1)
