@@ -17,8 +17,7 @@ ingest half already exists (:class:`~repro.graph.dynamic
   brute-force path stays the oracle and the automatic fallback;
 - :class:`ServingFrontend` — the thread-safe query surface client
   threads call: link scores and top-k, each answered on its caller's
-  thread, with top-k misses sharing one caller-driven pass over the
-  catalog;
+  thread, a top-k miss scanning one snapshot's blocks by itself;
 - :class:`ShardPlan` / :class:`ShardedFrontend` /
   :class:`ShardedPublisher` — the scatter/gather sharded tier: the
   embedding space partitioned across worker processes (R replicas per

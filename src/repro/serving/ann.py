@@ -127,18 +127,19 @@ class IvfIndex:
     """Immutable IVF cell structure for exactly one snapshot version."""
 
     __slots__ = (
-        "snapshot", "version", "metric", "nlist", "nprobe", "centroids",
-        "cells", "build_seconds", "nbytes", "_rank_centroids",
+        "snapshot", "version", "config", "metric", "nlist", "nprobe",
+        "centroids", "cells", "build_seconds", "nbytes", "_rank_centroids",
     )
 
-    def __init__(self, snapshot: EmbeddingSnapshot, metric: str,
-                 nprobe: int, centroids: np.ndarray,
+    def __init__(self, snapshot: EmbeddingSnapshot, config: IvfConfig,
+                 metric: str, centroids: np.ndarray,
                  cells: list[np.ndarray], build_seconds: float) -> None:
         self.snapshot = snapshot
         self.version = snapshot.version
+        self.config = config
         self.metric = metric
         self.nlist = len(cells)
-        self.nprobe = min(nprobe, self.nlist)
+        self.nprobe = min(config.nprobe, self.nlist)
         self.centroids = centroids
         self.cells = cells
         self.build_seconds = build_seconds
@@ -158,7 +159,12 @@ class IvfIndex:
     @classmethod
     def build(cls, snapshot: EmbeddingSnapshot, config: IvfConfig,
               metric: str = "dot") -> "IvfIndex":
-        """Deterministic seeded build: same snapshot -> same cells."""
+        """Deterministic seeded build: same snapshot -> same cells.
+
+        Books ``serving.ann.builds``, ``build_seconds`` and ``bytes``
+        here, the one build path of the in-process manager and the
+        shard workers.
+        """
         start = time.perf_counter()
         n = snapshot.num_nodes
         if metric == "cosine":
@@ -203,45 +209,31 @@ class IvfIndex:
             cell.setflags(write=False)
             cells.append(cell)
         centroids.setflags(write=False)
-        return cls(snapshot, metric, config.nprobe, centroids, cells,
-                   time.perf_counter() - start)
+        index = cls(snapshot, config, metric, centroids, cells,
+                    time.perf_counter() - start)
+        rec = get_recorder()
+        rec.counter("serving.ann.builds")
+        rec.observe("serving.ann.build_seconds", index.build_seconds)
+        rec.gauge("serving.ann.bytes", index.nbytes)
+        return index
 
     # ------------------------------------------------------------------
-    def probe_order(self, node: int) -> np.ndarray:
-        """All cell ids best-first for ``node`` (ties -> lower cell id)."""
-        return self.probe_order_for(self.snapshot.matrix[node])
-
-    def probe_order_for(self, query: np.ndarray) -> np.ndarray:
-        """All cell ids best-first for a raw query vector.
-
-        The sharded tier routes mostly *remote* query nodes through a
-        shard's index — the query row lives on another shard, so the
-        probe ranks cells against the shipped vector instead of a local
-        row.  ``probe_order(node)`` is exactly this on the node's own
-        row.
-        """
-        affinity = self._rank_centroids @ np.asarray(query,
-                                                     dtype=np.float64)
-        return np.lexsort((np.arange(self.nlist), -affinity))
-
-    def candidate_rows(self, node: int, nprobe: int | None = None
+    def candidate_rows(self, query: np.ndarray, nprobe: int | None = None
                        ) -> tuple[np.ndarray, int]:
         """Sorted candidate row ids from the best ``nprobe`` cells.
 
-        Returns ``(row_ids ascending, cells_probed)``.  With
-        ``nprobe >= nlist`` the cells' union is exactly ``0..n-1`` (the
-        cells partition the id space), which is what makes exact-mode
-        IVF bit-identical to the brute-force path.
+        Cells are ranked against the query vector (ties -> lower cell
+        id); in the sharded tier that is usually a vector shipped from
+        another shard.  Returns ``(row_ids ascending, cells_probed)``.
+        With ``nprobe >= nlist`` the cells' union is exactly ``0..n-1``
+        (the cells partition the id space), which is what makes
+        exact-mode IVF bit-identical to the brute-force path.
         """
-        return self.candidate_rows_for(self.snapshot.matrix[node], nprobe)
-
-    def candidate_rows_for(self, query: np.ndarray,
-                           nprobe: int | None = None
-                           ) -> tuple[np.ndarray, int]:
-        """:meth:`candidate_rows` for a raw query vector."""
         nprobe = self.nprobe if nprobe is None else nprobe
         nprobe = max(1, min(nprobe, self.nlist))
-        probed = self.probe_order_for(query)[:nprobe]
+        affinity = self._rank_centroids @ np.asarray(query,
+                                                     dtype=np.float64)
+        probed = np.lexsort((np.arange(self.nlist), -affinity))[:nprobe]
         candidates = np.concatenate([self.cells[j] for j in probed])
         candidates.sort()
         return candidates, int(nprobe)
@@ -310,9 +302,6 @@ class IvfIndexManager:
                 if self._index is None or index.version > self._index.version:
                     self._index = index
                 self._cv.notify_all()
-            rec.counter("serving.ann.builds")
-            rec.observe("serving.ann.build_seconds", index.build_seconds)
-            rec.gauge("serving.ann.bytes", index.nbytes)
             rec.gauge("serving.ann.version", index.version)
 
     # ------------------------------------------------------------------

@@ -159,8 +159,10 @@ class ServingFrontend:
               mode: str | None = None) -> TopK:
         """Top-``k`` recommended nodes for ``node``, best first.
 
-        A warm cache hit answers at once with zero GEMM work; a miss
-        scans the snapshot served when it starts, on this thread.
+        One snapshot answers the whole request: a warm cache hit
+        answers at once with zero GEMM work (even after :meth:`close`);
+        a miss needs an open frontend and scans that snapshot on this
+        thread.
         ``mode`` overrides the configured index for
         this one request: ``"exact"`` forces the brute-force oracle
         (full recall), ``"ivf"`` requests the approximate index (falls
@@ -172,10 +174,8 @@ class ServingFrontend:
         start = time.monotonic()
         node = int(node)
         k = self.config.default_k if k is None else int(k)
-        result = self.index.cached(node, k, mode=mode)
-        if result is None:
-            self._require_open("top-k")
-            result = self.index.top_k_batch([(node, k, mode)])[0]
+        result = self.index.top_k(
+            node, k, mode, on_miss=lambda: self._require_open("top-k"))
         if rec.enabled:
             rec.counter("serving.requests.topk")
             rec.observe("serving.latency.topk_s", time.monotonic() - start)

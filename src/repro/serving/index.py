@@ -36,7 +36,12 @@ Two execution modes share the scoring/selection code:
   through the *same* blocked scorer.  Queries fall back to exact
   automatically when no index matches the pinned snapshot version
   (cold store, build in flight, store below ``min_index_nodes``) or the
-  probed candidates cannot cover ``min(k, n - 1)`` results.
+  probed candidates cannot fill the exact scan's result count.
+
+The in-process frontend and every shard worker answer a request through
+the same routine (:meth:`RecommendationIndex._answer`): a cache lookup
+pinned to one snapshot, IVF candidates or the exact fallback, the
+blocked scan, and the cache fill.
 
 Cache entries are valid for exactly one
 :class:`~repro.serving.store.EmbeddingSnapshot` *version* and one mode:
@@ -60,6 +65,7 @@ import functools
 import math
 import threading
 from collections import OrderedDict
+from collections.abc import Callable
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -74,16 +80,12 @@ from repro.serving.store import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.serving.ann import IvfIndexManager
+    from repro.serving.ann import IvfIndex, IvfIndexManager
 
 METRIC_CHOICES = ("dot", "cosine")
 
 #: One cached result: (ids desc by score, scores) — both read-only.
 TopK = tuple[np.ndarray, np.ndarray]
-
-#: One request: ``(node, k)`` or ``(node, k, mode)`` with mode one of
-#: :data:`~repro.serving.ann.INDEX_CHOICES` (None -> the index default).
-TopKRequest = "tuple[int, int] | tuple[int, int, str | None]"
 
 _TINY = np.finfo(np.float64).tiny
 
@@ -258,6 +260,12 @@ def _empty() -> TopK:
     return _frozen(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
 
 
+def _k_eff(n: int, exclude: int, k: int) -> int:
+    """Results a query can fill from ``n`` rows: self-exclusion consumes
+    one, and a query with no local row (remote shard) can use all n."""
+    return min(k, n - 1) if exclude >= 0 else min(k, n)
+
+
 class RecommendationIndex:
     """Cached blocked top-k over the currently served embeddings."""
 
@@ -334,41 +342,42 @@ class RecommendationIndex:
 
         Only results computed against ``snapshot``'s version qualify
         (the *current* store snapshot when omitted); a hit refreshes
-        LRU recency and counts as ``serving.index.cache_hits``.
-        Passing an explicit snapshot pins a multi-request batch to one
-        version: a publish landing mid-batch cannot mix newer cache
-        hits into a batch computed against the older snapshot.  An
+        LRU recency and counts as ``serving.index.cache_hits``.  An
         ``"ivf"`` lookup may also be answered by an ``"exact"`` entry
         (exact answers have recall 1); the reverse never happens.
         """
         mode = self._resolve_mode(mode)
         if snapshot is None:
             snapshot = self.store.snapshot()
+        return self._lookup(snapshot, node, k, mode)
+
+    def _lookup(self, snapshot: EmbeddingSnapshot, key: int, k: int,
+                mode: str) -> TopK | None:
         with self._lock:
             self._sync_version(snapshot)
             if self._cache_version != snapshot.version:
                 # The cache has moved past this snapshot's version; its
                 # entries would answer from a different generation.
                 return None
-            hit = self._cache.get((node, k, mode))
+            hit = self._cache.get((key, k, mode))
             if hit is None and mode == "ivf":
-                hit = self._cache.get((node, k, "exact"))
+                hit = self._cache.get((key, k, "exact"))
                 if hit is not None:
-                    self._cache.move_to_end((node, k, "exact"))
+                    self._cache.move_to_end((key, k, "exact"))
             elif hit is not None:
-                self._cache.move_to_end((node, k, mode))
+                self._cache.move_to_end((key, k, mode))
             if hit is None:
                 return None
         get_recorder().counter("serving.index.cache_hits")
         return hit
 
-    def _fill(self, snapshot: EmbeddingSnapshot, node: int, k: int,
+    def _fill(self, snapshot: EmbeddingSnapshot, key: int, k: int,
               mode: str, result: TopK) -> None:
         with self._lock:
             if self._cache_version != snapshot.version or self.cache_size == 0:
                 return
-            self._cache[(node, k, mode)] = result
-            self._cache.move_to_end((node, k, mode))
+            self._cache[(key, k, mode)] = result
+            self._cache.move_to_end((key, k, mode))
             while len(self._cache) > self.cache_size:
                 self._cache.popitem(last=False)
                 get_recorder().counter("serving.index.cache_evictions")
@@ -380,102 +389,47 @@ class RecommendationIndex:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def top_k(self, node: int, k: int, mode: str | None = None) -> TopK:
-        """Top-``k`` nodes for ``node`` (self excluded), best first."""
-        hit = self.cached(node, k, mode=mode)
-        if hit is not None:
-            return hit
-        return self.top_k_batch([(node, k, mode)])[0]
+    def top_k(self, node: int, k: int, mode: str | None = None,
+              on_miss: Callable[[], None] | None = None) -> TopK:
+        """Top-``k`` nodes for ``node`` (self excluded), best first.
 
-    def top_k_batch(self, requests: "list[TopKRequest]") -> list[TopK]:
-        """Serve many requests from one snapshot.
-
-        Each request is ``(node, k)`` or ``(node, k, mode)``.  Cache
-        hits are answered in place; each distinct exact miss scans the
-        catalog in turn, and each distinct ANN miss scores only its
-        probed candidate rows; in either mode duplicates share the
-        answer.  Each distinct lookup that misses counts one
-        ``serving.index.cache_misses``,
-        plus one ``serving.ann.fallbacks`` when it asks for IVF and no
-        index is ready.  The whole batch answers from the one snapshot
-        taken here — cache lookups and the ANN index are pinned to its
-        version, so a publish (or an index build) racing the batch can
-        never mix results from two embedding generations in one
-        response.
+        Answers from the one snapshot taken here (:meth:`_answer`);
+        ``on_miss`` runs before a cache miss computes anything.
         """
+        mode = self._resolve_mode(mode)
         snapshot = self.store.snapshot()
-        rec = get_recorder()
-        ann_index = None
-        if self.ann is not None:
-            ann_index = self.ann.index_for(snapshot)
-        results: dict[int, TopK] = {}
-        exact_misses: list[tuple[int, int, int]] = []  # (i, node, k)
-        ivf_misses: list[tuple[int, int, int]] = []
-        missed: set[tuple[int, int, str]] = set()
-        for i, request in enumerate(requests):
-            node, k = int(request[0]), int(request[1])
-            mode = self._resolve_mode(
-                request[2] if len(request) > 2 else None  # type: ignore[misc]
+        node, k = int(node), int(k)
+        if not 0 <= node < snapshot.num_nodes:
+            raise ServingError(
+                f"node {node} out of range [0, {snapshot.num_nodes})"
             )
-            self._validate(snapshot, node, k)
-            hit = self.cached(node, k, snapshot, mode)
-            if hit is not None:
-                results[i] = hit
-                continue
-            # One miss per distinct lookup, whichever path then answers
-            # it (an IVF miss that falls back to exact is not recounted),
-            # and one no-index fallback per distinct IVF lookup.
-            if (node, k, mode) not in missed:
-                missed.add((node, k, mode))
-                rec.counter("serving.index.cache_misses")
-                if mode == "ivf" and ann_index is None:
-                    # Cold store, build in flight, or store too small.
-                    rec.counter("serving.ann.fallbacks")
-                    rec.counter("serving.ann.fallbacks.no_index")
-            if mode == "ivf" and ann_index is not None:
-                ivf_misses.append((i, node, k))
-            else:
-                exact_misses.append((i, node, k))
-
-        # Distinct IVF misses run one ANN query each; duplicates share it.
-        ivf_computed: dict[tuple[int, int], TopK | None] = {}
-        for i, node, k in ivf_misses:
-            if (node, k) not in ivf_computed:
-                result = self._compute_ivf(snapshot, ann_index, node, k)
-                ivf_computed[(node, k)] = result
-                if result is not None:
-                    self._fill(snapshot, node, k, "ivf", result)
-            result = ivf_computed[(node, k)]
-            if result is None:  # not enough candidates: exact fallback
-                exact_misses.append((i, node, k))
-            else:
-                results[i] = result
-
-        # Distinct exact misses scan the catalog; duplicates share it.
-        exact_computed: dict[tuple[int, int], TopK] = {}
-        for i, node, k in exact_misses:
-            if (node, k) not in exact_computed:
-                exact_computed[(node, k)] = result = self._scan_node(
-                    snapshot, node, k)
-                self._fill(snapshot, node, k, "exact", result)
-            results[i] = exact_computed[(node, k)]
-        return [results[i] for i in range(len(requests))]
+        if k < 1:
+            raise ServingError(f"k must be >= 1, got {k}")
+        ann_index = self.ann.index_for(snapshot) if mode == "ivf" else None
+        return self._answer(snapshot, node, snapshot.matrix[node],
+                            snapshot.norms[node], node, k, mode, ann_index,
+                            on_miss)
 
     def top_k_vector(self, vector: np.ndarray, k: int,
-                     exclude_row: int = -1,
-                     row_ids: np.ndarray | None = None) -> TopK:
+                     exclude_row: int = -1, key: int | None = None,
+                     mode: str = "exact", ivf: "IvfIndex | None" = None,
+                     on_miss: Callable[[], None] | None = None) -> TopK:
         """Top-``k`` rows for a raw query vector, best first.
 
         The sharded serving tier's scatter path: every shard scores the
         *shipped* query vector against its local rows, so the query
         node's own row only exists (and is excluded, via
-        ``exclude_row``) on the owning shard.  ``row_ids`` restricts
-        scoring to a sorted candidate subset (the per-shard IVF path).
-        Results are not cached here — the shard worker keys its own LRU
-        by the global query node id, which this index never sees.  A
-        vector whose norm is not finite raises :class:`ServingError`,
-        as a published row would.
+        ``exclude_row``) on the owning shard.  The shard worker passes
+        the global query node id as the cache ``key`` (None skips the
+        cache) and its slice's ``ivf`` index for ``mode="ivf"``; the
+        request then takes the same path as :meth:`top_k`.  A vector
+        whose norm is not finite raises :class:`ServingError`, as a
+        published row would.
         """
+        if mode not in INDEX_CHOICES:
+            raise ServingError(
+                f"unknown index mode {mode!r}; options: {list(INDEX_CHOICES)}"
+            )
         snapshot = self.store.snapshot()
         vector = np.asarray(vector, dtype=np.float64).reshape(-1)
         if vector.shape[0] != snapshot.dim:
@@ -496,52 +450,85 @@ class RecommendationIndex:
         if not np.isfinite(norm):
             raise ServingError(
                 f"query vector must be finite, got norm {norm}")
-        return self._scan(snapshot, vector, norm, int(exclude_row), k,
-                          row_ids)
+        return self._answer(snapshot, key, vector, norm, int(exclude_row),
+                            int(k), mode, ivf, on_miss)
 
-    def _validate(self, snapshot: EmbeddingSnapshot, node: int,
-                  k: int) -> None:
-        if not 0 <= node < snapshot.num_nodes:
-            raise ServingError(
-                f"node {node} out of range [0, {snapshot.num_nodes})"
-            )
-        if k < 1:
-            raise ServingError(f"k must be >= 1, got {k}")
+    def _answer(self, snapshot: EmbeddingSnapshot, key: int | None,
+                vector: np.ndarray, norm: float, exclude: int, k: int,
+                mode: str, ann_index: "IvfIndex | None",
+                on_miss: Callable[[], None] | None) -> TopK:
+        """The one request path of both tiers, pinned to ``snapshot``.
+
+        A cache lookup, then on a miss the IVF candidates (or the exact
+        fallback), the blocked :meth:`_scan` and the cache fill.  The
+        lookup and ``ann_index`` belong to ``snapshot``'s version, so a
+        publish or an index build racing the request can never mix two
+        embedding generations into its answer.  With a ``key``, every
+        miss counts one ``serving.index.cache_misses``, whichever path
+        then answers it.
+        """
+        if key is not None:
+            hit = self._lookup(snapshot, key, k, mode)
+            if hit is not None:
+                return hit
+        if on_miss is not None:
+            on_miss()
+        if key is not None:
+            get_recorder().counter("serving.index.cache_misses")
+        row_ids = None
+        if mode == "ivf":
+            row_ids = self._ivf_candidates(snapshot, ann_index, vector,
+                                           exclude, k)
+        result = self._scan(snapshot, vector, norm, exclude, k, row_ids)
+        if row_ids is not None:
+            self._maybe_sample_recall(snapshot, ann_index, vector, norm,
+                                      exclude, k, result)
+        if key is not None:
+            self._fill(snapshot, key, k,
+                       "exact" if row_ids is None else "ivf", result)
+        return result
 
     # ------------------------------------------------------------------
     # ANN path
     # ------------------------------------------------------------------
-    def _compute_ivf(self, snapshot: EmbeddingSnapshot, ann_index,
-                     node: int, k: int) -> TopK | None:
-        """One ANN query: probe cells, score candidates exactly.
+    @staticmethod
+    def _ivf_candidates(snapshot: EmbeddingSnapshot,
+                        ann_index: "IvfIndex | None", vector: np.ndarray,
+                        exclude: int, k: int) -> np.ndarray | None:
+        """Sorted candidate rows for one IVF query, or None to fall
+        back to the exact scan.
 
-        Returns None when the probed candidates cannot fill
-        ``min(k, n - 1)`` results (empty probe cells, ``k`` exhausting
-        the indexed rows) — the caller then takes the exact path, so an
-        ANN answer always has the same shape as the exact one.
+        Falls back when no index matches the snapshot (cold store,
+        build in flight, store below ``min_index_nodes``) or when the
+        probed candidates cannot fill :meth:`_scan`'s ``k_eff`` (empty
+        probe cells, ``k`` exhausting the indexed rows), so an ANN
+        answer always has the same shape as the exact one.
         """
         rec = get_recorder()
-        candidates, probed = ann_index.candidate_rows(node)
-        k_eff = min(k, snapshot.num_nodes - 1)
+        if ann_index is None:
+            rec.counter("serving.ann.fallbacks")
+            rec.counter("serving.ann.fallbacks.no_index")
+            return None
+        candidates, probed = ann_index.candidate_rows(vector)
         available = len(candidates)
-        if available and np.searchsorted(candidates, node) < available \
-                and candidates[np.searchsorted(candidates, node)] == node:
+        pos = int(np.searchsorted(candidates, exclude))
+        if pos < available and candidates[pos] == exclude:
             available -= 1  # self-exclusion consumes one candidate
-        if available < k_eff:
+        if available < _k_eff(snapshot.num_nodes, exclude, k):
             rec.counter("serving.ann.fallbacks")
             rec.counter("serving.ann.fallbacks.insufficient_candidates")
             return None
         rec.counter("serving.ann.queries")
         rec.counter("serving.ann.cells_probed", probed)
         rec.counter("serving.ann.candidates_scored", len(candidates))
-        result = self._scan_node(snapshot, node, k, row_ids=candidates)
-        self._maybe_sample_recall(snapshot, node, k, result)
-        return result
+        return candidates
 
-    def _maybe_sample_recall(self, snapshot: EmbeddingSnapshot, node: int,
-                             k: int, result: TopK) -> None:
+    def _maybe_sample_recall(self, snapshot: EmbeddingSnapshot,
+                             ann_index: "IvfIndex", vector: np.ndarray,
+                             norm: float, exclude: int, k: int,
+                             result: TopK) -> None:
         """Shadow-check every N-th ANN answer against the oracle."""
-        every = self.ann.config.recall_sample_every if self.ann else 0
+        every = ann_index.config.recall_sample_every
         if every <= 0:
             return
         with self._lock:
@@ -549,7 +536,7 @@ class RecommendationIndex:
             due = self._ann_query_count % every == 0
         if not due:
             return
-        exact_ids, _ = self._scan_node(snapshot, node, k)
+        exact_ids, _ = self._scan(snapshot, vector, norm, exclude, k)
         k_eff = len(exact_ids)
         recall = 1.0
         if k_eff:
@@ -583,12 +570,6 @@ class RecommendationIndex:
                 (above, tied[:take - len(above)])))
         return idx
 
-    def _scan_node(self, snapshot: EmbeddingSnapshot, node: int, k: int,
-                   row_ids: np.ndarray | None = None) -> TopK:
-        """:meth:`_scan` for a catalog row, which never recommends itself."""
-        return self._scan(snapshot, snapshot.matrix[node],
-                          snapshot.norms[node], node, k, row_ids)
-
     def _scan(self, snapshot: EmbeddingSnapshot, vector: np.ndarray,
               query_norm: float, exclude: int, k: int,
               row_ids: np.ndarray | None = None) -> TopK:
@@ -606,14 +587,11 @@ class RecommendationIndex:
         (``nprobe = nlist``) run the *identical* block/score/selection
         sequence as the full scan and return bit-identical results.
         """
-        n = snapshot.num_nodes
-        # Self-exclusion consumes one candidate; a query with no local
-        # exclusion row (remote shard) can use all n.
-        k_eff = min(k, n - 1) if exclude >= 0 else min(k, n)
+        k_eff = _k_eff(snapshot.num_nodes, exclude, k)
         if k_eff <= 0:
             return _empty()
         query = _Query(snapshot, vector, query_norm, exclude, k_eff)
-        total = n if row_ids is None else len(row_ids)
+        total = snapshot.num_nodes if row_ids is None else len(row_ids)
         for start in range(0, total, self.block_size):
             stop = min(total, start + self.block_size)
             ids_block = (np.arange(start, stop) if row_ids is None

@@ -15,8 +15,9 @@ across CPU/GPU stages, here spread across shard workers.  Five pieces:
   per shard, each owning a shard-local
   :class:`~repro.serving.store.EmbeddingStore` +
   :class:`~repro.serving.index.RecommendationIndex` (exact, or a
-  per-shard :class:`~repro.serving.ann.IvfIndex`) plus an LRU of
-  answered sub-queries.  Slices arrive through
+  per-shard :class:`~repro.serving.ann.IvfIndex`), which answers each
+  sub-query through the same cached request path as the in-process
+  frontend.  Slices arrive through
   :class:`~repro.serving.shared_array.SharedArray` blocks, not the
   command pipe; sibling replicas attach the same block.
 - :class:`ShardedFrontend` — the router.  It holds the served
@@ -74,6 +75,7 @@ from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing import resource_tracker
+from typing import NamedTuple
 
 import numpy as np
 
@@ -181,32 +183,13 @@ class ShardPlan:
 # ---------------------------------------------------------------------------
 # Worker side
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class _WorkerConfig:
-    """Picklable per-worker knobs (derived from ShardedServingConfig)."""
+class _ShardVersion(NamedTuple):
+    """One installed slice version inside a worker (``index`` is None
+    when the shard owns no rows)."""
 
-    metric: str
-    block_size: int
-    cache_size: int
-    index: str
-    ann: IvfConfig | None
-    keep_versions: int
-
-
-class _ShardVersion:
-    """One installed slice version inside a worker."""
-
-    __slots__ = ("store", "index", "ivf", "ids", "num_nodes", "lru")
-
-    def __init__(self, store: EmbeddingStore | None,
-                 index: RecommendationIndex | None, ivf: IvfIndex | None,
-                 ids: np.ndarray, num_nodes: int) -> None:
-        self.store = store
-        self.index = index
-        self.ivf = ivf
-        self.ids = ids
-        self.num_nodes = num_nodes
-        self.lru: OrderedDict[tuple[int, int], TopK] = OrderedDict()
+    index: RecommendationIndex | None
+    ivf: IvfIndex | None
+    ids: np.ndarray
 
 
 def _local_row(sv: _ShardVersion, node: int) -> int:
@@ -221,7 +204,7 @@ class _WorkerState:
     """Everything a shard worker holds between commands."""
 
     def __init__(self, shard_id: int, plan: ShardPlan,
-                 cfg: _WorkerConfig) -> None:
+                 cfg: ShardedServingConfig) -> None:
         self.shard_id = shard_id
         self.plan = plan
         self.cfg = cfg
@@ -240,7 +223,7 @@ class _WorkerState:
                 spec: SharedArraySpec | None) -> bool:
         ids = self.plan.owned_ids(self.shard_id, num_nodes)
         if spec is None or len(ids) == 0:
-            sv = _ShardVersion(None, None, None, ids, num_nodes)
+            sv = _ShardVersion(None, None, ids)
         else:
             shared = SharedArray.attach(spec)
             try:
@@ -255,15 +238,15 @@ class _WorkerState:
             store = EmbeddingStore()
             snapshot = store.publish(local, generation)
             index = RecommendationIndex(
-                store, cache_size=0, block_size=self.cfg.block_size,
-                metric=self.cfg.metric,
+                store, cache_size=self.cfg.cache_size,
+                block_size=self.cfg.block_size, metric=self.cfg.metric,
             )
             ivf = None
             if self.cfg.index == "ivf":
                 ann = self.cfg.ann or IvfConfig()
                 if len(ids) >= ann.min_index_nodes:
                     ivf = IvfIndex.build(snapshot, ann, self.cfg.metric)
-            sv = _ShardVersion(store, index, ivf, ids, num_nodes)
+            sv = _ShardVersion(index, ivf, ids)
         self.versions[version] = sv
         while len(self.versions) > max(1, self.cfg.keep_versions):
             self.versions.popitem(last=False)
@@ -271,42 +254,25 @@ class _WorkerState:
 
     def topk(self, version: int, node: int, k: int, vec: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray, bool]:
+        """One shard's top-k for the shipped query vector; the third
+        element is True when the slice's index answered from its cache."""
         sv = self._resolve(version)
-        if sv.store is None:  # empty shard: nothing to contribute
+        if sv.index is None:  # empty shard: nothing to contribute
             return (np.empty(0, dtype=np.int64),
                     np.empty(0, dtype=np.float64), False)
-        key = (int(node), int(k))
-        hit = sv.lru.get(key)
-        if hit is not None:
-            sv.lru.move_to_end(key)
-            return hit[0], hit[1], True
-        exclude_row = _local_row(sv, node)
-        row_ids = None
-        if sv.ivf is not None:
-            candidates, _probed = sv.ivf.candidate_rows_for(vec)
-            available = len(candidates)
-            if exclude_row >= 0:
-                pos = int(np.searchsorted(candidates, exclude_row))
-                if pos < available and int(candidates[pos]) == exclude_row:
-                    available -= 1
-            local_n = len(sv.ids)
-            k_eff = min(k, local_n - 1 if exclude_row >= 0 else local_n)
-            if available >= k_eff:
-                row_ids = candidates
+        misses: list[bool] = []
         local_ids, scores = sv.index.top_k_vector(
-            vec, k, exclude_row=exclude_row, row_ids=row_ids,
+            vec, k, exclude_row=_local_row(sv, node), key=int(node),
+            mode=self.cfg.index, ivf=sv.ivf,
+            on_miss=lambda: misses.append(True),
         )
         gids = sv.ids[local_ids]
         gids.setflags(write=False)
-        if self.cfg.cache_size > 0:
-            sv.lru[key] = (gids, scores)
-            while len(sv.lru) > self.cfg.cache_size:
-                sv.lru.popitem(last=False)
-        return gids, scores, False
+        return gids, scores, not misses
 
 
 def _shard_worker_main(conn, shard_id: int, plan: ShardPlan,
-                       cfg: _WorkerConfig, fault_plan=None,
+                       cfg: ShardedServingConfig, fault_plan=None,
                        attempt: int = 0) -> None:
     """Worker entry point: serve commands until ``stop`` or EOF.
 
@@ -551,8 +517,9 @@ class ShardedServingConfig:
     costs zero degraded queries.  ``keep_versions`` is how many
     installed versions each worker retains — 2 lets queries routed just
     before a publish finish against the version they were routed under.
-    ``cache_size`` bounds each worker's answered-sub-query LRU; the
-    router needs no cache of its own, because it holds the served
+    ``cache_size`` bounds the LRU of each worker's per-version
+    :class:`~repro.serving.index.RecommendationIndex`; the router needs
+    no cache of its own, because it holds the served
     matrix and reads query vectors and link scores from it.
     ``stop_timeout`` bounds each worker's graceful-stop wait before
     escalation (close/rebalance stop workers concurrently, so a hung
@@ -740,22 +707,14 @@ class ShardedFrontend:
         self._current: _VersionInfo | None = None
 
     # ------------------------------------------------------------------
-    def _worker_config(self) -> _WorkerConfig:
-        cfg = self.config
-        return _WorkerConfig(
-            metric=cfg.metric, block_size=cfg.block_size,
-            cache_size=cfg.cache_size, index=cfg.index, ann=cfg.ann,
-            keep_versions=cfg.keep_versions,
-        )
-
     def _spawn_worker(self, plan: ShardPlan, shard_id: int, replica: int,
-                      worker_cfg: _WorkerConfig, epoch: int,
-                      fault_plan=None, attempt: int = 0) -> EmbeddingShard:
+                      epoch: int, fault_plan=None,
+                      attempt: int = 0) -> EmbeddingShard:
         """Fork one shard worker and wrap it in a router-side client."""
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=_shard_worker_main,
-            args=(child_conn, shard_id, plan, worker_cfg, fault_plan,
+            args=(child_conn, shard_id, plan, self.config, fault_plan,
                   attempt),
             daemon=True,
             name=f"embedding-shard-e{epoch}-{shard_id}.{replica}",
@@ -770,7 +729,6 @@ class ShardedFrontend:
 
     def _spawn_table(self, plan: ShardPlan) -> _RoutingTable:
         """Fork ``num_shards x replication_factor`` workers for ``plan``."""
-        worker_cfg = self._worker_config()
         # Start the parent's shared-memory resource tracker *before*
         # forking, so every worker inherits it.  A worker forked first
         # would lazily start a private tracker at its first publish
@@ -782,8 +740,7 @@ class ShardedFrontend:
         groups: list[list[EmbeddingShard]] = []
         for shard_id in range(plan.num_shards):
             groups.append([
-                self._spawn_worker(plan, shard_id, replica, worker_cfg,
-                                   epoch)
+                self._spawn_worker(plan, shard_id, replica, epoch)
                 for replica in range(self.config.replication_factor)
             ])
         return _RoutingTable(plan, groups)
@@ -987,8 +944,8 @@ class ShardedFrontend:
                 return False
             resource_tracker.ensure_running()
             client = self._spawn_worker(
-                table.plan, shard_id, replica, self._worker_config(),
-                self._epoch, fault_plan, attempt)
+                table.plan, shard_id, replica, self._epoch, fault_plan,
+                attempt)
             try:
                 client.request("ping", None, timeout=timeout)
                 info = self._current

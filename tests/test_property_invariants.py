@@ -399,31 +399,6 @@ class TestServingTopKProperties:
             np.testing.assert_array_equal(ids, expected_ids)
             assert scores.tobytes() == expected_scores.tobytes()
 
-    @given(
-        st.integers(min_value=0, max_value=10_000),
-        st.integers(min_value=3, max_value=60),
-        st.sampled_from(["dot", "cosine"]),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_topk_invariant_to_batch_composition(self, seed, n, metric):
-        from repro.serving import EmbeddingStore, RecommendationIndex
-
-        rng = np.random.default_rng(seed)
-        store = EmbeddingStore()
-        store.publish(rng.standard_normal((n, 4)), generation=0)
-        k = int(rng.integers(1, n))
-        nodes = rng.integers(0, n, size=6)
-        # Singles are the reference; the batch answers (in any request
-        # order) must agree with them.
-        single = RecommendationIndex(store, cache_size=0, metric=metric)
-        expected = [single.top_k(int(node), k) for node in nodes]
-        batched = RecommendationIndex(store, cache_size=0, metric=metric)
-        order = rng.permutation(len(nodes))
-        results = batched.top_k_batch([(int(nodes[i]), k) for i in order])
-        for got, i in zip(results, order):
-            assert got[0].tobytes() == expected[i][0].tobytes()
-            assert got[1].tobytes() == expected[i][1].tobytes()
-
     def test_duplicate_rows_keep_lowest_id_ties_across_block_sizes(self):
         """Duplicate rows create huge tie groups; whatever the block
         size, the selection must admit exactly the lowest-id ties (an
@@ -658,9 +633,7 @@ class TestFloat32ScreenProperties:
             with use_recorder(recorder):
                 index = RecommendationIndex(store, cache_size=0,
                                             block_size=500)
-                index.top_k_batch([(int(node), 10) for node in
-                                   rng.integers(0, 3_000, size=8)])
-                for node in rng.integers(0, 3_000, size=8):
+                for node in rng.integers(0, 3_000, size=16):
                     index.top_k(int(node), 10)
             return recorder.counters
 

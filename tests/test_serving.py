@@ -58,6 +58,12 @@ def brute_force_topk(matrix: np.ndarray, node: int, k: int,
     return order[:k_eff], scores[order[:k_eff]]
 
 
+def scan_node(index: RecommendationIndex, snapshot, node: int, k: int):
+    """The index's uncached blocked scan of catalog row ``node``."""
+    return index._scan(snapshot, snapshot.matrix[node],
+                       snapshot.norms[node], node, k)
+
+
 # ---------------------------------------------------------------------------
 # EmbeddingStore
 # ---------------------------------------------------------------------------
@@ -292,12 +298,12 @@ class TestRecommendationIndex:
         np.testing.assert_array_equal(ids, expected_ids)
         np.testing.assert_allclose(scores, expected_scores)
 
-    def test_publish_racing_batch_pins_one_version(self, rng):
-        """Bug: ``top_k_batch`` took one snapshot but its cache lookups
-        re-fetched the *current* snapshot per request; a publish landing
-        mid-batch let newer-generation cache hits mix into a batch
-        whose misses were computed from the older matrix.  Fix: lookups
-        are pinned to the batch's snapshot."""
+    def test_publish_racing_request_pins_one_version(self, rng):
+        """A request answers from the one snapshot it takes: a publish
+        and a competing reader landing right after it must neither
+        serve it the newer generation's cache entry nor move it to the
+        newer matrix, and its older-snapshot lookup must not roll the
+        cache back."""
         first = rng.standard_normal((20, 4))
         second = rng.standard_normal((20, 4))
         store = make_store(first, generation=0)
@@ -310,7 +316,7 @@ class TestRecommendationIndex:
             snap = real_snapshot()
             if not raced:
                 # A publish plus a competing reader land right after
-                # the batch takes its snapshot: the reader's query
+                # the request takes its snapshot: the reader's query
                 # fills the cache at the new version.
                 raced = True
                 store.publish(second, generation=1)
@@ -319,14 +325,13 @@ class TestRecommendationIndex:
 
         store.snapshot = racing_snapshot
         try:
-            results = index.top_k_batch([(5, 3), (6, 3)])
+            ids, scores = index.top_k(5, 3)
         finally:
             store.snapshot = real_snapshot
-        # Every result in the batch answers from the batch's snapshot.
-        for node, (ids, scores) in zip([5, 6], results):
-            expected_ids, expected_scores = brute_force_topk(first, node, 3)
-            np.testing.assert_array_equal(ids, expected_ids)
-            np.testing.assert_allclose(scores, expected_scores)
+        # The request answers from the snapshot it took.
+        expected_ids, expected_scores = brute_force_topk(first, 5, 3)
+        np.testing.assert_array_equal(ids, expected_ids)
+        np.testing.assert_allclose(scores, expected_scores)
         # And the older-snapshot lookups did not roll the cache back:
         # the newer generation's entry is still served.
         hit = index.cached(5, 3)
@@ -347,17 +352,6 @@ class TestRecommendationIndex:
             assert recorder.counters["serving.index.cache_evictions"] == 1
             assert index.cached(0, 3) is None
             assert index.cached(2, 3) is not None
-
-    def test_batch_dedupes_repeated_nodes(self, rng):
-        matrix = rng.standard_normal((25, 4))
-        recorder = Recorder()
-        with use_recorder(recorder):
-            index = RecommendationIndex(make_store(matrix))
-            results = index.top_k_batch([(7, 3), (7, 3), (8, 3)])
-            assert recorder.counters["serving.index.cache_misses"] == 2
-        np.testing.assert_array_equal(results[0][0], results[1][0])
-        expected_ids, _ = brute_force_topk(matrix, 8, 3)
-        np.testing.assert_array_equal(results[2][0], expected_ids)
 
     def test_validation(self, rng):
         index = RecommendationIndex(make_store(rng.standard_normal((5, 2))))
@@ -440,7 +434,7 @@ class TestConcurrentScans:
         store = make_store(matrix)
         index = RecommendationIndex(store, cache_size=0, block_size=50,
                                     metric=metric)
-        want = {name: index._scan_node(store.snapshot(), node, 5)
+        want = {name: scan_node(index, store.snapshot(), node, 5)
                 for name, node in (("first", 3), ("second", 200))}
         assert want["second"][0].tolist() == [0, 3, 6, 9, 12]
         visits, finished, out = self._beside_parked(
@@ -463,7 +457,7 @@ class TestConcurrentScans:
         store = make_store(old)
         index = RecommendationIndex(store, cache_size=0, block_size=40)
         old_snapshot = store.snapshot()
-        want_old = index._scan_node(old_snapshot, 9, 4)
+        want_old = scan_node(index, old_snapshot, 9, 4)
 
         def after_publish():
             store.publish(new, generation=1)
@@ -472,7 +466,7 @@ class TestConcurrentScans:
         _, finished, out = self._beside_parked(
             index, lambda: index.top_k(9, 4), after_publish)
         assert finished
-        want_new = index._scan_node(store.snapshot(), 9, 4)
+        want_new = scan_node(index, store.snapshot(), 9, 4)
         for (ids, scores), (want_ids, want_scores) in (
                 (out["first"], want_old), (out["second"], want_new)):
             assert ids.tobytes() == want_ids.tobytes()
@@ -507,8 +501,8 @@ class TestConcurrentScans:
             sys.setswitchinterval(interval)
         for c in range(clients):
             for node, (ids, scores) in zip(nodes[c], answers[c]):
-                want_ids, want_scores = index._scan_node(
-                    snapshot, int(node), 4)
+                want_ids, want_scores = scan_node(
+                    index, snapshot, int(node), 4)
                 assert ids.tobytes() == want_ids.tobytes()
                 assert scores.tobytes() == want_scores.tobytes()
 

@@ -32,6 +32,7 @@ from repro.errors import ServingError
 from repro.observability import Recorder, use_recorder
 from repro.serving import (
     EmbeddingStore,
+    IvfConfig,
     RecommendationIndex,
     ShardPlan,
     ShardedFrontend,
@@ -396,6 +397,31 @@ class TestWorkerMetricsAggregation:
         # 3 of 4 workers survive; each installed the publish once.
         assert doc["counters"]["serving.store.publishes"] == 3
         assert recorder.gauges["serving.shard.workers.reporting"] == 3
+
+    def test_worker_index_and_ann_counters_reach_the_router(self):
+        """Each worker's index answers through the cached request path
+        and books its IVF builds, so the merged document carries
+        non-zero ``serving.index.cache_*`` and ``serving.ann.*``."""
+        rng = np.random.default_rng(66)
+        matrix = rng.standard_normal((200, 8))
+        config = ShardedServingConfig(
+            index="ivf",
+            ann=IvfConfig(nlist=4, nprobe=2, min_index_nodes=16,
+                          recall_sample_every=1),
+        )
+        with sharded(ShardPlan(2, "hash"), make_store(matrix),
+                     config) as frontend:
+            first = frontend.top_k(7, 5)
+            second = frontend.top_k(7, 5)
+            doc = frontend.worker_metrics()
+        assert first[0].tobytes() == second[0].tobytes()
+        counters = doc["counters"]
+        for name in ("serving.ann.builds", "serving.ann.queries",
+                     "serving.ann.recall_samples",
+                     "serving.index.cache_hits",
+                     "serving.index.cache_misses"):
+            assert counters.get(name, 0) > 0, name
+        assert counters["serving.index.cache_hits"] == 2  # one per shard
 
     def test_histogram_merge_is_exact(self):
         from repro.observability import Histogram

@@ -188,6 +188,33 @@ class TestOracleBitIdenticality:
                 np.testing.assert_array_equal(ids, expected_ids)
                 np.testing.assert_array_equal(scores, expected_scores)
 
+    def test_per_shard_ivf_k_covering_a_remote_slice_matches_oracle(self):
+        """A shard answering a remote query (its rows exclude nothing)
+        needs ``min(k, n)`` results, not ``min(k, n - 1)``.  One row per
+        cell with all but one cell probed leaves ``n - 1`` candidates:
+        too few for ``k >= n``, so the shard must fall back to its
+        exact scan instead of answering one row short."""
+        rng = np.random.default_rng(15)
+        matrix = rng.standard_normal((40, 6))
+        oracle = oracle_for(matrix)
+        config = ShardedServingConfig(
+            index="ivf", cache_size=0,
+            ann=IvfConfig(nlist=20, nprobe=19, train_iters=0,
+                          min_index_nodes=1),
+        )
+        plan = ShardPlan(2, "range")
+        assert len(plan.owned_ids(0, 40)) == 20
+        with sharded(plan, make_store(matrix), config) as frontend:
+            for node in (30, 39):  # owned by shard 1: remote to shard 0
+                for k in (20, 39):
+                    ids, scores = frontend.top_k(node, k)
+                    expected_ids, expected_scores = oracle.top_k(node, k)
+                    assert ids.tobytes() == expected_ids.tobytes()
+                    assert scores.tobytes() == expected_scores.tobytes()
+            counters = frontend.worker_metrics()["counters"]
+        assert counters[
+            "serving.ann.fallbacks.insufficient_candidates"] >= 4
+
     def test_per_shard_ivf_small_probe_is_well_formed(self):
         rng = np.random.default_rng(10)
         matrix = rng.standard_normal((800, 8))
